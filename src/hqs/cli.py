@@ -403,7 +403,7 @@ def _cmd_dynamics(args) -> int:
 
 
 def _dynamics_avalanche(params, args) -> int:
-    allowed = {"k", "x0", "t_end", "dt", "omega", "noise_amplitude"}
+    allowed = {"k", "x0", "t_end", "dt", "omega"}
     _reject_unknown(params, allowed, "avalanche")
     k = float(params.get("k", 1.0))
     config = mead.AvalancheConfig(
@@ -411,28 +411,12 @@ def _dynamics_avalanche(params, args) -> int:
         x0=float(params.get("x0", 0.01)),
         t_end=float(params.get("t_end", 20.0 / k)),
         dt=float(params.get("dt", 0.005 / k)),
-        noise_amplitude=float(params.get("noise_amplitude", 0.0)),
-        seed=args.seed,
         omega=float(params["omega"]) if "omega" in params else None,
     )
     states = mead.integrate_pair(config)
-    if args.out:
-        mead.write_trajectory_csv(args.out, states)
-    else:
-        _print_trajectory(states)
+    mead.write_trajectory_csv(args.out or sys.stdout, states)
     print(f"avalanche: {len(states)} steps", file=sys.stderr)
     return 0
-
-
-def _print_trajectory(states) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["t", "x_emitter", "x_absorber", "dipole_emitter", "dipole_absorber"])
-    for s in states:
-        writer.writerow(
-            [repr(s.t), repr(s.x_emitter), repr(s.x_absorber),
-             repr(mead.dipole_amplitude(min(1.0, max(0.0, s.x_emitter)))),
-             repr(mead.dipole_amplitude(min(1.0, max(0.0, s.x_absorber))))]
-        )
 
 
 def _dynamics_compete(params, args) -> int:
@@ -481,13 +465,7 @@ def _dynamics_field(params, args) -> int:
     field_matrix = mead.field_snapshot(
         state, float(params.get("omega", 1.0e9)), state.t, grid, positions
     )
-    if args.out:
-        mead.write_field_csv(args.out, field_matrix, grid)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow([grid.nx, grid.ny, repr(grid.extent)])
-        for row in field_matrix:
-            writer.writerow([repr(float(v)) for v in row])
+    mead.write_field_csv(args.out or sys.stdout, field_matrix, grid)
     return 0
 
 

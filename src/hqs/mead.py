@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,16 +88,13 @@ class AvalancheConfig:
 
     dt must respect both the coupling scale (0.02/k) and, when a beat
     frequency is supplied for signal reconstruction, 1/40 of its period.
-    noise_amplitude is kept for symmetry-breaking draws of the initial
-    transfer; the trajectory itself is deterministic.
+    The trajectory is deterministic: x0 is the whole initial transfer.
     """
 
     k: float
     x0: float
     t_end: float
     dt: float
-    noise_amplitude: float = 0.0
-    seed: int = 0
     omega: float | None = None
 
     def __post_init__(self):
@@ -106,8 +104,6 @@ class AvalancheConfig:
             raise ValueError("x0 must lie in (0, 0.5)")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be >= 0")
         bound = self.stability_bound
         if not 0.0 < self.dt <= bound * (1.0 + 1e-12):
             raise ValueError(f"dt must lie in (0, {bound:.6g}] for stability")
@@ -126,13 +122,6 @@ def default_config(k: float = 1.0, x0: float = 0.01, t_end: float | None = None)
     return AvalancheConfig(k=k, x0=x0, t_end=t_end, dt=0.005 / k)
 
 
-def _pair_rhs(k: float, x_e: float, x_a: float) -> tuple[float, float]:
-    # transfer rate follows the product of the two dipole moments
-    # (for x_e = 1 - x_a this is exactly logistic growth of x_a)
-    rate = k * dipole_amplitude(_clip(x_e)) * dipole_amplitude(_clip(x_a))
-    return -rate, rate
-
-
 def _clip(x: float) -> float:
     return min(1.0, max(0.0, x))
 
@@ -145,18 +134,39 @@ def integrate_pair(config: AvalancheConfig) -> list[AtomPairState]:
     is a real conservation check, not an identity.
     """
     steps = int(round(config.t_end / config.dt))
+    k, h = config.k, config.dt
+    half, sixth = 0.5 * h, h / 6.0
+    sqrt = math.sqrt
     x_e, x_a = 1.0 - config.x0, config.x0
-    h = config.dt
-    out = [AtomPairState(0.0, x_e, x_a)]
-    for i in range(steps):
-        k1e, k1a = _pair_rhs(config.k, x_e, x_a)
-        k2e, k2a = _pair_rhs(config.k, x_e + 0.5 * h * k1e, x_a + 0.5 * h * k1a)
-        k3e, k3a = _pair_rhs(config.k, x_e + 0.5 * h * k2e, x_a + 0.5 * h * k2a)
-        k4e, k4a = _pair_rhs(config.k, x_e + h * k3e, x_a + h * k3a)
-        x_e += (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-        x_a += (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        out.append(AtomPairState((i + 1) * h, x_e, x_a))
-    return out
+    xs_e, xs_a = [x_e], [x_a]
+
+    # Each stage's transfer rate is k * dipole(x_e) * dipole(x_a) with both
+    # levels clipped to [0, 1] (for x_e = 1 - x_a this is exactly logistic
+    # growth of x_a); the emitter loses what the absorber gains, so its
+    # slopes are the negated rates.  The clip and dipole are written out
+    # inline: this loop is the hot path of every avalanche.
+    for _ in range(steps):
+        c_e = x_e if 0.0 < x_e < 1.0 else (1.0 if x_e >= 1.0 else 0.0)
+        c_a = x_a if 0.0 < x_a < 1.0 else (1.0 if x_a >= 1.0 else 0.0)
+        r1 = k * sqrt(c_e * (1.0 - c_e)) * sqrt(c_a * (1.0 - c_a))
+        y_e, y_a = x_e - half * r1, x_a + half * r1
+        c_e = y_e if 0.0 < y_e < 1.0 else (1.0 if y_e >= 1.0 else 0.0)
+        c_a = y_a if 0.0 < y_a < 1.0 else (1.0 if y_a >= 1.0 else 0.0)
+        r2 = k * sqrt(c_e * (1.0 - c_e)) * sqrt(c_a * (1.0 - c_a))
+        y_e, y_a = x_e - half * r2, x_a + half * r2
+        c_e = y_e if 0.0 < y_e < 1.0 else (1.0 if y_e >= 1.0 else 0.0)
+        c_a = y_a if 0.0 < y_a < 1.0 else (1.0 if y_a >= 1.0 else 0.0)
+        r3 = k * sqrt(c_e * (1.0 - c_e)) * sqrt(c_a * (1.0 - c_a))
+        y_e, y_a = x_e - h * r3, x_a + h * r3
+        c_e = y_e if 0.0 < y_e < 1.0 else (1.0 if y_e >= 1.0 else 0.0)
+        c_a = y_a if 0.0 < y_a < 1.0 else (1.0 if y_a >= 1.0 else 0.0)
+        r4 = k * sqrt(c_e * (1.0 - c_e)) * sqrt(c_a * (1.0 - c_a))
+        slope = r1 + 2.0 * r2 + 2.0 * r3 + r4
+        x_e -= sixth * slope
+        x_a += sixth * slope
+        xs_e.append(x_e)
+        xs_a.append(x_a)
+    return [AtomPairState(i * h, e, a) for i, (e, a) in enumerate(zip(xs_e, xs_a))]
 
 
 def logistic_exact(t, k: float, x0: float):
@@ -186,6 +196,34 @@ def time_to_level(k: float, x0: float, level: float) -> float:
     return math.log(level * (1.0 - x0) / (x0 * (1.0 - level))) / k
 
 
+def _absorber_total(x: np.ndarray) -> np.ndarray:
+    """Per-trial sum over the absorber rows of an absorber-major block.
+
+    Adds the rows in the order numpy's pairwise summation adds the entries
+    of one contiguous row: left to right below 8 terms, eight interleaved
+    partial sums up to 128, halves split at a multiple of 8 beyond.  The
+    total is therefore bit-identical to summing each trial's absorbers in a
+    trial-major array, at the cost of whole-row adds.
+    """
+    n = len(x)
+    if n < 8:
+        total = x[0] + x[1]
+        for row in x[2:]:
+            total += row
+        return total
+    if n <= 128:
+        tail = n - n % 8
+        acc = x[:8].copy()
+        for i in range(8, tail, 8):
+            acc += x[i:i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for row in x[tail:]:
+            total += row
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _absorber_total(x[:half]) + _absorber_total(x[half:])
+
+
 def compete(k_list, x0_max: float, trials: int, seed: int, dt: float | None = None) -> dict:
     """Race several absorbers for one emitter's quantum.
 
@@ -211,57 +249,71 @@ def compete(k_list, x0_max: float, trials: int, seed: int, dt: float | None = No
         raise ValueError("dt violates the stability bound")
 
     n_abs = len(k)
+    # absorber-major: row j holds absorber j of every trial.
     # x0 in (0, x0_max]: flip the half-open uniform so zero is excluded
-    x = np.empty((trials, n_abs))
+    x = np.empty((n_abs, trials))
     for j in range(n_abs):
         u = uniform_block(seed, np.arange(trials, dtype=np.uint64), draw_index=j)
-        x[:, j] = (1.0 - u) * x0_max
+        x[j] = (1.0 - u) * x0_max
 
     winners = np.full(trials, -1, dtype=np.int64)
     win_time = np.zeros(trials)
     ties = np.zeros(trials, dtype=bool)
-    active = np.ones(trials, dtype=bool)
     t = 0.0
     max_steps = int(math.ceil(60.0 / (float(k.min()) * dt)))
+    k_col = k[:, None]
 
-    def rhs(state):
-        total = state.sum(axis=1, keepdims=True)
-        return k * state * (1.0 - total)
+    def rhs(state, total):
+        return k_col * state * (1.0 - total)
 
-    for step in range(max_steps):
-        if not active.any():
-            break
-        xa = x[active]
-        k1 = rhs(xa)
-        k2 = rhs(xa + 0.5 * dt * k1)
-        k3 = rhs(xa + 0.5 * dt * k2)
-        k4 = rhs(xa + dt * k3)
-        xa = xa + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x[active] = xa
+    # The whole working block advances every step; a finished column is
+    # recorded once and then only dragged along until the block is compacted,
+    # so each trial's trajectory is independent of which others share it.
+    cols = np.arange(trials)
+    live = np.ones(trials, dtype=bool)
+    n_live = trials
+    total = _absorber_total(x)
+    for _ in range(max_steps):
+        k1 = rhs(x, total)
+        s = x + 0.5 * dt * k1
+        k2 = rhs(s, _absorber_total(s))
+        s = x + 0.5 * dt * k2
+        k3 = rhs(s, _absorber_total(s))
+        s = x + dt * k3
+        k4 = rhs(s, _absorber_total(s))
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        total = _absorber_total(x)
         t += dt
-        done = xa.sum(axis=1) >= COMPLETION_LEVEL
-        if done.any():
-            idx_active = np.flatnonzero(active)
-            finished = idx_active[done]
-            lead = np.argmax(x[finished], axis=1)
-            best = x[finished, lead]
-            # a tie means some other absorber matches the leader exactly
-            tie = (x[finished] == best[:, None]).sum(axis=1) > 1
-            winners[finished] = lead
-            win_time[finished] = t
-            ties[finished] = tie
-            active[finished] = False
-    if active.any():
+        done = (total >= COMPLETION_LEVEL) & live
+        if not done.any():
+            continue
+        j = np.flatnonzero(done)
+        finished = x[:, j]
+        lead = np.argmax(finished, axis=0)
+        best = finished[lead, np.arange(len(j))]
+        trial = cols[j]
+        winners[trial] = lead
+        win_time[trial] = t
+        # a tie means some other absorber matches the leader exactly
+        ties[trial] = np.count_nonzero(finished == best, axis=0) > 1
+        live[j] = False
+        n_live -= len(j)
+        if n_live == 0:
+            break
+        if 2 * n_live < len(cols):
+            x, total, cols = x[:, live], total[live], cols[live]
+            live = np.ones(n_live, dtype=bool)
+    if n_live:
         raise RuntimeError("competition failed to complete; raise t cap")
 
-    win_counts = np.bincount(winners, minlength=n_abs)
+    win_counts = np.bincount(winners, minlength=n_abs).tolist()
     log = [
-        {"trial": i, "winner": int(winners[i]), "t": float(win_time[i]), "tie": bool(ties[i])}
-        for i in range(trials)
+        {"trial": i, "winner": w, "t": tw, "tie": tie}
+        for i, (w, tw, tie) in enumerate(zip(winners.tolist(), win_time.tolist(), ties.tolist()))
     ]
     return {
-        "win_counts": [int(c) for c in win_counts],
-        "win_fractions": [float(c) / trials for c in win_counts],
+        "win_counts": win_counts,
+        "win_fractions": [c / trials for c in win_counts],
         "k_list": [float(v) for v in k],
         "trials": trials,
         "log": log,
@@ -321,10 +373,22 @@ def field_snapshot(
     return out
 
 
-def write_trajectory_csv(path, states) -> None:
-    """Columns: t, x_emitter, x_absorber, dipole_emitter, dipole_absorber."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+@contextmanager
+def _csv_writer(dest):
+    """csv writer with LF line ends on an open text stream or a new file."""
+    if hasattr(dest, "write"):
+        yield csv.writer(dest, lineterminator="\n")
+        return
+    with open(dest, "w", newline="") as fh:
+        yield csv.writer(fh, lineterminator="\n")
+
+
+def write_trajectory_csv(dest, states) -> None:
+    """Columns: t, x_emitter, x_absorber, dipole_emitter, dipole_absorber.
+
+    dest is a path or an open text stream.
+    """
+    with _csv_writer(dest) as writer:
         writer.writerow(["t", "x_emitter", "x_absorber", "dipole_emitter", "dipole_absorber"])
         for s in states:
             writer.writerow(
@@ -338,10 +402,12 @@ def write_trajectory_csv(path, states) -> None:
             )
 
 
-def write_field_csv(path, field_matrix: np.ndarray, grid: FieldGrid) -> None:
-    """One header line (nx, ny, extent), then the field matrix row by row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+def write_field_csv(dest, field_matrix: np.ndarray, grid: FieldGrid) -> None:
+    """One header line (nx, ny, extent), then the field matrix row by row.
+
+    dest is a path or an open text stream.
+    """
+    with _csv_writer(dest) as writer:
         writer.writerow([grid.nx, grid.ny, repr(grid.extent)])
         for row in np.asarray(field_matrix):
             writer.writerow([repr(float(v)) for v in row])

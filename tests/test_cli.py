@@ -238,6 +238,29 @@ def test_main_dynamics_models(tmp_path):
     assert main(["dynamics", "compete", "--param", "k_list=1.0"]) == 2
 
 
+def test_avalanche_rejects_the_removed_noise_knob(capsys):
+    assert main(["dynamics", "avalanche", "--param", "noise_amplitude=0.1"]) == 2
+    assert "unknown parameter 'noise_amplitude'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dynamics", "avalanche", "--param", "k=2.0", "--param", "t_end=1.0"],
+        ["dynamics", "field", "--param", "nx=21", "--param", "ny=17"],
+    ],
+    ids=["avalanche", "field"],
+)
+def test_dynamics_csv_bytes_match_between_out_and_stdout(tmp_path, capsysbinary, argv):
+    out = tmp_path / "model.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert b"\r" not in printed
+    assert out.read_bytes() == printed
+
+
 def test_list_names_every_experiment(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

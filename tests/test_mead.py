@@ -1,10 +1,14 @@
 """Coupled-dipole avalanche: closed-form checks, competition, field maps."""
 
 import csv
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqs import mead
 
@@ -132,6 +136,65 @@ def test_competition_is_seed_deterministic():
     b = mead.compete([1.0, 3.0], 0.01, 500, seed=11)
     assert a["win_counts"] == b["win_counts"]
     assert [e["winner"] for e in a["log"]] == [e["winner"] for e in b["log"]]
+
+
+# sha256 of outputs pinned from the per-trial scalar-loop implementation:
+# a faster compete or integrate_pair must reproduce them bit for bit
+COMPETE_GOLDENS = {
+    "two": (([1.0, 1.15], 0.01, 300, 5, None),
+            "df76569432140355abe8bef711444c7afa05c8ac4d4e683b2b30c87e65104976"),
+    "three-x0_max": (([1.1, 1.0, 0.95], 0.03, 250, 9, None),
+                     "86d232383f3fdb32394e2c373801714a4f2e1ae0a2dc8bd2ee85c6a09075e08e"),
+    "four-dt": (([0.9, 1.0, 1.2, 1.05], 0.01, 200, 13, 0.004),
+                "636fb621d0578a3241f29fa79f02219d0a3c3f63d860d37a02f632c6e65c23c6"),
+}
+
+PAIR_GOLDENS = {
+    "default": (mead.default_config(),
+                "291da86577da0b575879e751e40f98a65966f67a3e636436792fc38342f5d4a3"),
+    "omega": (mead.AvalancheConfig(k=2.0, x0=0.02, t_end=6.0, dt=0.005, omega=30.0),
+              "ee1a7bae5019fb88b2966562393214fc4680f38eadee2d0a46a5f8b89aee8feb"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args, digest", COMPETE_GOLDENS.values(), ids=COMPETE_GOLDENS)
+def test_compete_output_is_pinned(args, digest):
+    k_list, x0_max, trials, seed, dt = args
+    result = mead.compete(k_list, x0_max, trials, seed, dt=dt)
+    assert _sha256(json.dumps(result, sort_keys=True)) == digest
+
+
+@pytest.mark.parametrize("config, digest", PAIR_GOLDENS.values(), ids=PAIR_GOLDENS)
+def test_integrate_pair_trajectory_is_pinned(config, digest):
+    states = mead.integrate_pair(config)
+    text = "\n".join(f"{s.t.hex()} {s.x_emitter.hex()} {s.x_absorber.hex()}" for s in states)
+    assert _sha256(text) == digest
+
+
+@pytest.mark.parametrize("n_abs", [2, 3, 4, 7, 8, 13, 128, 131, 300])
+def test_absorber_total_matches_the_trial_major_sum(n_abs):
+    trial_major = np.random.default_rng(n_abs).random((500, n_abs)) * 0.3
+    total = mead._absorber_total(np.ascontiguousarray(trial_major.T))
+    assert np.array_equal(total, trial_major.sum(axis=1))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    k_list=st.lists(st.floats(0.5, 8.0), min_size=2, max_size=4),
+    n=st.integers(2, 120),
+    data=st.data(),
+    seed=st.integers(0, 2**32),
+)
+def test_each_trial_is_independent_of_the_trial_count(k_list, n, data, seed):
+    # trial i is a pure function of (seed, i), so however the live block is
+    # compacted, a shorter run is a prefix of a longer one
+    m = data.draw(st.integers(1, n - 1))
+    short = mead.compete(k_list, 0.01, m, seed)["log"]
+    assert short == mead.compete(k_list, 0.01, n, seed)["log"][:m]
 
 
 def test_competition_input_validation():
