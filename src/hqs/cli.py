@@ -10,8 +10,9 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 1 internal error.
 
 Identical argv (plus seed) produces byte-identical output files; wall time
-goes to stderr, never into the payload.  Worker threads are capped by the
-HQS_THREADS environment variable without changing any result byte.
+goes to stderr, never into the payload.  Runs tally their samples on one
+thread, so HQS_THREADS, which sets the workers of the library's per-record
+run_events, changes no byte here either.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import mead
 from .experiments.registry import EXPERIMENTS, Param, RunResult
-from .network import Element, OpticalNetwork, network_echo_table, run_events, validate
+from .network import Element, OpticalNetwork, calibrated, network_echo_table, sample_counts, validate
 from .wavecore import PolarizedAmplitude
 
 SIGMA_FACTOR = 4.0
@@ -165,9 +166,10 @@ def _parse_network(doc: dict, text: str) -> OpticalNetwork:
         )
         raise ConfigError(f"invalid network: {details}")
     if doc.get("calibrate_emission"):
-        from .network import calibrated
-
-        network = calibrated(network)
+        try:
+            network = calibrated(network)
+        except ValueError as exc:
+            raise ConfigError(f"cannot calibrate emission: {exc}") from None
     return network
 
 
@@ -265,9 +267,7 @@ def _run_custom(spec: RunSpec) -> RunResult:
     if not isinstance(network, OpticalNetwork):
         raise ConfigError(f"{path} does not describe an optical network")
     table = network_echo_table(network)
-    counts = None
-    if spec.n:
-        counts, _ = run_events(network, spec.n, spec.seed)
+    counts = sample_counts(table, spec.n, spec.seed) if spec.n else None
     return RunResult(dict(table.entries), counts, spec.n)
 
 
@@ -395,6 +395,8 @@ def _cmd_dynamics(args) -> int:
     }
     if args.model not in handlers:
         raise ConfigError(f"unknown dynamics model {args.model!r}")
+    if args.seed is not None and args.model != "compete":
+        raise ConfigError(f"dynamics {args.model} is deterministic and takes no --seed")
     try:
         return handlers[args.model](params, args)
     except (ValueError, TypeError) as exc:
@@ -422,6 +424,7 @@ def _dynamics_avalanche(params, args) -> int:
 def _dynamics_compete(params, args) -> int:
     allowed = {"k_list", "x0_max", "trials", "dt"}
     _reject_unknown(params, allowed, "compete")
+    seed = 0 if args.seed is None else args.seed
     k_list = params.get("k_list", [1.0, 1.0])
     if isinstance(k_list, str):
         k_list = [float(v) for v in k_list.split(",")]
@@ -429,7 +432,7 @@ def _dynamics_compete(params, args) -> int:
         k_list,
         float(params.get("x0_max", 0.01)),
         int(params.get("trials", 1000)),
-        args.seed,
+        seed,
         dt=float(params["dt"]) if "dt" in params else None,
     )
     payload = {
@@ -437,7 +440,7 @@ def _dynamics_compete(params, args) -> int:
         "trials": result["trials"],
         "win_counts": result["win_counts"],
         "win_fractions": result["win_fractions"],
-        "seed": args.seed,
+        "seed": seed,
     }
     _write_output((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode(), args.out)
     return 0
@@ -517,7 +520,7 @@ def main(argv=None) -> int:
     p_dyn = sub.add_parser("dynamics", help="avalanche, compete, or field")
     p_dyn.add_argument("model", choices=("avalanche", "compete", "field"))
     p_dyn.add_argument("--param", action="append", metavar="KEY=VALUE")
-    p_dyn.add_argument("--seed", type=int, default=0)
+    p_dyn.add_argument("--seed", type=int, default=None, help="compete only (default 0)")
     p_dyn.add_argument("--out", default=None)
     p_dyn.set_defaults(func=_cmd_dynamics)
 

@@ -7,7 +7,7 @@ shell into n equal solid-angle patches; 64 is the default resolution.
 
 from __future__ import annotations
 
-from ..network import Element, OpticalNetwork, network_echo_table, run_events
+from ..network import Element, OpticalNetwork, network_echo_table, sample_counts
 
 DEFAULT_DETECTORS = 64
 
@@ -26,9 +26,5 @@ def bubble_network(n_detectors: int = DEFAULT_DETECTORS) -> OpticalNetwork:
 
 def einstein_bubble(n_detectors: int, n_events: int | None, seed: int):
     """Counts over the ring; echo table is uniform at 1/n per detector."""
-    network = bubble_network(n_detectors)
-    table = network_echo_table(network)
-    counts = None
-    if n_events:
-        counts, _ = run_events(network, n_events, seed)
-    return table, counts
+    table = network_echo_table(bubble_network(n_detectors))
+    return table, sample_counts(table, n_events, seed) if n_events else None

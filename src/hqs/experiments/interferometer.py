@@ -8,7 +8,7 @@ from ..network import (
     Element,
     OpticalNetwork,
     network_echo_table,
-    run_events,
+    sample_counts,
     select_transaction,
 )
 from ..rng import RandomStream
@@ -39,8 +39,7 @@ def mach_zehnder(blocked: bool = False) -> EchoTable:
 def run_mach_zehnder(blocked: bool, n: int, seed: int):
     """Echo table plus Monte Carlo counts over the interferometer ports."""
     table = mach_zehnder(blocked)
-    counts, _ = run_events(mz_network(blocked), n, seed)
-    return table, counts
+    return table, sample_counts(table, n, seed)
 
 
 def ev_recursive(n_trials: int, seed: int) -> dict:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..network import network_echo_table, run_events
+from ..network import network_echo_table, sample_counts
 from . import bubble, entangled, eraser, hardy, interferometer, slits
 
 
@@ -39,9 +39,7 @@ class Experiment:
 
 def _run_mz(p, n, seed):
     table = interferometer.mach_zehnder(p["blocked"])
-    counts = None
-    if n:
-        _, counts = interferometer.run_mach_zehnder(p["blocked"], n, seed)
+    counts = sample_counts(table, n, seed) if n else None
     return RunResult(dict(table.entries), counts, n)
 
 
@@ -60,11 +58,7 @@ def _run_ev(p, n, seed):
 
 
 def _run_bubble(p, n, seed):
-    network = bubble.bubble_network(p["n_detectors"])
-    table = network_echo_table(network)
-    counts = None
-    if n:
-        counts, _ = run_events(network, n, seed)
+    table, counts = bubble.einstein_bubble(p["n_detectors"], n, seed)
     return RunResult(dict(table.entries), counts, n)
 
 
@@ -78,9 +72,7 @@ def _run_two_slit(p, n, seed):
     network = slits.slit_network(labeled=p["labeled"], **geom)
     table = network_echo_table(network)
     profile = slits._profile_from_table(table, network)
-    counts = None
-    if n:
-        counts, _ = run_events(network, n, seed)
+    counts = sample_counts(table, n, seed) if n else None
     curve = {
         "bin_center": list(profile.bin_centers),
         "probability": list(profile.probabilities),

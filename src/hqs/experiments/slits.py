@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -24,9 +23,10 @@ from ..network import (
     EchoTable,
     Element,
     OpticalNetwork,
+    _screen_bins,
     calibrated,
     network_echo_table,
-    run_events,
+    sample_counts,
 )
 from .profiles import IntensityProfile, fringe_visibility
 
@@ -119,7 +119,7 @@ def slit_network(
 
 def _profile_from_table(table: EchoTable, network: OpticalNetwork) -> IntensityProfile:
     scr = network.element("scr")
-    centers = tuple(float(c) for c in _bin_centers(scr.params))
+    centers = tuple(float(c) for c in _screen_bins(scr.params))
     bin_ids = sorted(a for a in table.entries if a.startswith("scr["))
     weights = [table.entries[a] for a in bin_ids]
     total = math.fsum(table.entries.values())
@@ -129,12 +129,6 @@ def _profile_from_table(table: EchoTable, network: OpticalNetwork) -> IntensityP
     if abs(total - 1.0) > 1e-9:
         raise ValueError("screen network is not calibrated")
     return IntensityProfile(centers, probs, fringe_visibility(probs))
-
-
-def _bin_centers(params: dict):
-    n = int(params["bin_count"])
-    w = float(params["half_width"])
-    return np.linspace(-w, w, n) if n > 1 else np.array([0.0])
 
 
 def two_slit(
@@ -152,10 +146,10 @@ def two_slit(
 def run_two_slit(n: int, seed: int, labeled: bool = False, **geometry):
     """Analytic profile plus a Monte Carlo histogram over the screen bins."""
     network = slit_network(labeled=labeled, **geometry)
-    profile = _profile_from_table(network_echo_table(network), network)
-    counts, _ = run_events(network, n, seed)
+    table = network_echo_table(network)
+    counts = sample_counts(table, n, seed)
     bin_counts = [counts[a] for a in sorted(c for c in counts if c.startswith("scr["))]
-    return profile, bin_counts
+    return _profile_from_table(table, network), bin_counts
 
 
 def delayed_choice(screen_up: bool, decision_time: str, n: int, seed: int):
@@ -170,11 +164,10 @@ def delayed_choice(screen_up: bool, decision_time: str, n: int, seed: int):
         raise ValueError(f"decision_time must be one of {DECISION_TIMES}")
     if screen_up:
         network = slit_network()
-        profile = _profile_from_table(network_echo_table(network), network)
-        counts, _ = run_events(network, n, seed)
-        return {"mode": "screen", "profile": profile, "counts": counts}
-    network = _lens_network()
-    counts, _ = run_events(network, n, seed)
+        table = network_echo_table(network)
+        profile = _profile_from_table(table, network)
+        return {"mode": "screen", "profile": profile, "counts": sample_counts(table, n, seed)}
+    counts = sample_counts(network_echo_table(_lens_network()), n, seed)
     return {"mode": "image", "profile": None, "counts": counts}
 
 

@@ -2,10 +2,14 @@
 
 A network is a DAG of elements carrying a single photon's offer wave from
 one source to a set of absorbers (detectors, blockers, screen bins, the
-absorbed port of a polarizer).  Offer propagation enumerates every route,
-multiplying scattering factors; the echo table gives each absorber the
-squared modulus of its coherent path sum; exactly one absorber per event
-is then selected with probability proportional to its echo.
+absorbed port of a polarizer).  Every element acts linearly on the Jones
+vector, so one sweep in topological order sums the amplitude arriving at
+each (element, input port) and at each absorber, and an absorber's echo
+is the squared modulus of its sum.  The same sweep finds cycles,
+unreachable absorbers and lost amplitude, which makes it the validator
+too.  Exactly one absorber per event is then selected with probability
+proportional to its echo.  Listing routes one by one
+(propagate_offers) remains as an explain view for small networks.
 
 Element kinds and their scattering behavior:
 
@@ -80,12 +84,11 @@ class Element:
     outputs: dict = field(default_factory=dict)
 
 
-def _parse_target(target: str, default_port: str = "") -> tuple[str, str]:
-    # "S2:b" addresses input port b; a bare id takes the target's default port
-    if ":" in target:
-        elem, port = target.split(":", 1)
-        return elem, port
-    return target, default_port
+def _parse_target(target: str) -> tuple[str, str]:
+    # "S2:b" addresses input port b; a bare id leaves the port empty, meaning
+    # the target's default input
+    elem, _, port = target.partition(":")
+    return elem, port
 
 
 def _default_in_port(kind: str) -> str:
@@ -98,11 +101,6 @@ def _screen_bins(params: dict) -> np.ndarray:
     if n == 1:
         return np.array([0.0])
     return np.linspace(-w, w, n)
-
-
-def _screen_bin_id(screen_id: str, k: int, bin_count: int) -> str:
-    pad = len(str(bin_count - 1))
-    return f"{screen_id}[{k:0{pad}d}]"
 
 
 @dataclass
@@ -133,9 +131,13 @@ class Defect:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """echoes maps absorber id -> echo in sorted-id order; it and echo_sum
+    are None when a defect kept the sweep from running."""
+
     ok: bool
     defects: tuple[Defect, ...]
     echo_sum: float | None = None
+    echoes: dict | None = None
 
 
 @dataclass
@@ -170,7 +172,8 @@ class EventRecord:
 
 
 def validate(network: OpticalNetwork) -> ValidationReport:
-    """Structural and conservation checks; collects every defect found."""
+    """Structural checks, then one sweep for cycles, reachability and the
+    echo sum; collects every defect found."""
     defects: list[Defect] = []
     add = lambda kind, detail: defects.append(Defect(kind, detail))
 
@@ -212,50 +215,59 @@ def validate(network: OpticalNetwork) -> ValidationReport:
         if len(feeders) > 1:
             add("input collision", f"{tid}:{tport} fed by {', '.join(sorted(feeders))}")
 
-    if any(d.kind in ("unknown kind", "missing source", "duplicate id") for d in defects):
+    # the sweep needs unique ids, known kinds, a source and usable params
+    if any(d.kind in ("unknown kind", "missing source", "duplicate id", "bad params") for d in defects):
         return ValidationReport(False, tuple(defects))
 
-    if _has_cycle(network):
+    try:
+        swept = _sweep(network)
+    except ValueError as exc:
+        add("bad params", str(exc))
+        return ValidationReport(False, tuple(defects))
+    if swept is None:
         add("cycle", "network graph contains a cycle")
         return ValidationReport(False, tuple(defects))
+    echoes, reached = swept
 
-    reachable = _reachable(network)
     for elem in network.elements:
-        if elem.kind in TERMINAL_KINDS and elem.id not in reachable:
+        if elem.kind in TERMINAL_KINDS and elem.id not in reached:
             add("unreachable absorber", elem.id)
-
-    echo_sum = None
-    try:
-        paths = _enumerate(network, DEFAULT_PATH_CAP, lenient=True)
-    except ValueError as exc:
-        add("path explosion", str(exc))
-    else:
-        echo_sum = _total_echo(paths)
-        if abs(echo_sum - 1.0) > ECHO_SUM_TOL:
-            add("echo-sum", f"{echo_sum:.6g}")
-
-    return ValidationReport(not defects, tuple(defects), echo_sum)
+    echo_sum = math.fsum(echoes.values())
+    if abs(echo_sum - 1.0) > ECHO_SUM_TOL:
+        add("echo-sum", f"{echo_sum:.6g}")
+    return ValidationReport(not defects, tuple(defects), echo_sum, echoes)
 
 
 def _check_params(elem: Element) -> list[Defect]:
     out = []
+    bad = lambda detail: out.append(Defect("bad params", f"{elem.id}: {detail}"))
     p = elem.params
     try:
         if elem.kind == "phase_segment":
-            if not (float(p["length"]) >= 0):
-                out.append(Defect("bad params", f"{elem.id}: negative length"))
+            length = float(p["length"])
+            if not math.isfinite(length):
+                bad("non-finite length")
+            elif length < 0:
+                bad("negative length")
         elif elem.kind in ("halfwave_plate", "quarterwave_double", "polarizer"):
-            float(p["axis"])
+            if not math.isfinite(float(p["axis"])):
+                bad("non-finite axis")
         elif elem.kind == "screen":
             if int(p["bin_count"]) < 1:
-                out.append(Defect("bad params", f"{elem.id}: bin_count < 1"))
-            if not (float(p["half_width"]) > 0):
-                out.append(Defect("bad params", f"{elem.id}: half_width <= 0"))
-            if not (float(p["distance"]) > 0):
-                out.append(Defect("bad params", f"{elem.id}: distance <= 0"))
-            dict(p["offsets"])
-    except (KeyError, TypeError, ValueError) as exc:
-        out.append(Defect("bad params", f"{elem.id}: {exc!r}"))
+                bad("bin_count < 1")
+            for name in ("half_width", "distance"):
+                value = float(p[name])
+                if not math.isfinite(value):
+                    bad(f"non-finite {name}")
+                elif value <= 0:
+                    bad(f"{name} <= 0")
+            if not isinstance(p["offsets"], dict):
+                bad("offsets must map input ports to positions")
+            for port, offset in dict(p["offsets"]).items():
+                if not math.isfinite(float(offset)):
+                    bad(f"non-finite offset for port {port}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        bad(repr(exc))
     return out
 
 
@@ -277,157 +289,145 @@ def _check_ports(elem: Element) -> list[Defect]:
     return out
 
 
-def _edges(network: OpticalNetwork):
-    for elem in network.elements:
-        for port, target in sorted(elem.outputs.items()):
-            tid, _ = _parse_target(target)
-            if tid in network:
-                yield elem.id, tid
+def _scatter(elem: Element, in_port: str, amp: PolarizedAmplitude):
+    """What one element does to the amplitude arriving on one input port.
 
-
-def _has_cycle(network: OpticalNetwork) -> bool:
-    adj: dict[str, list[str]] = {}
-    for a, b in _edges(network):
-        adj.setdefault(a, []).append(b)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {e.id: WHITE for e in network.elements}
-    for start in color:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(adj.get(start, ())))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                color[node] = BLACK
-                stack.pop()
-            elif color[nxt] == GRAY:
-                return True
-            elif color[nxt] == WHITE:
-                color[nxt] = GRAY
-                stack.append((nxt, iter(adj.get(nxt, ()))))
-    return False
-
-
-def _reachable(network: OpticalNetwork) -> set[str]:
-    seen = {network.source_id}
-    frontier = [network.source_id]
-    adj: dict[str, list[str]] = {}
-    for a, b in _edges(network):
-        adj.setdefault(a, []).append(b)
-    while frontier:
-        node = frontier.pop()
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def _enumerate(network: OpticalNetwork, path_cap: int, lenient: bool) -> list[PathRecord]:
-    """Depth-first offer propagation from the source.
-
-    lenient drops amplitude that runs into missing wiring (validation wants
-    the measured loss); strict mode assumes a validated network.
+    Yields (target, amplitude, added_length).  target is an absorber id,
+    or an (element id, input port) pair read from the wiring, where an
+    empty port means the target's default input.  Unwired outputs and
+    screen ports without an offset yield nothing; validate reports them.
     """
-    source = network.element(network.source_id)
-    out_ports = sorted(source.outputs)
-    if not out_ports:
-        return []
-    split = 1.0 / math.sqrt(len(out_ports))
+    kind = elem.kind
+    if kind in ("blocker", "detector"):
+        yield elem.id, amp, 0.0
+        return
+    if kind == "screen":
+        x0 = elem.params["offsets"].get(in_port)
+        if x0 is None:
+            return
+        L, x0 = float(elem.params["distance"]), float(x0)
+        bins = _screen_bins(elem.params).tolist()
+        pad = len(str(len(bins) - 1))
+        for k, x in enumerate(bins):
+            hyp = math.hypot(L, x - x0)
+            yield f"{elem.id}[{k:0{pad}d}]", amp * path_phase(hyp), hyp
+        return
+
+    if kind == "source":
+        ports = sorted(elem.outputs)
+        split = 1.0 / math.sqrt(len(ports)) if ports else 0.0
+        branches = [(port, amp * split, 0.0) for port in ports]
+    elif kind == "mirror":
+        branches = [("out", amp, 0.0)]
+    elif kind == "phase_segment":
+        seg = float(elem.params["length"])
+        branches = [("out", amp * path_phase(seg), seg)]
+    elif kind in ("halfwave_plate", "quarterwave_double"):
+        plate = "half" if kind == "halfwave_plate" else "quarter_double_pass"
+        branches = [("out", waveplate_apply(amp, plate, float(elem.params["axis"])), 0.0)]
+    elif kind == "polarizer":
+        axis = float(elem.params["axis"])
+        yield f"{elem.id}.absorbed", polarizer_reject(amp, axis), 0.0
+        branches = [("out", polarizer_project(amp, axis), 0.0)]
+    elif in_port == "a":  # beamsplitter
+        branches = [("out1", amp * TRANSMIT_FACTOR, 0.0), ("out2", amp * REFLECT_FACTOR, 0.0)]
+    else:
+        branches = [("out1", amp * REFLECT_FACTOR, 0.0), ("out2", amp * TRANSMIT_FACTOR, 0.0)]
+    for out_port, new_amp, extra in branches:
+        target = elem.outputs.get(out_port)
+        if target is not None:
+            yield _parse_target(target), new_amp, extra
+
+
+def _sweep(network: OpticalNetwork):
+    """Carry the offer wave through the network once, in topological order.
+
+    Returns (echoes, reached): absorber id -> squared modulus of the summed
+    amplitude, in sorted-id order, and the ids of the elements the wave
+    arrived at.  Returns None if the graph has a cycle, and raises
+    ValueError naming the element whose output is not finite.  Amplitude
+    sent to a missing element is dropped, so a wiring defect shows up as a
+    short echo sum.  Needs unique ids and checked params.
+    """
+    by_id = network._by_id
+    successors: dict[str, list[str]] = {}
+    indegree = dict.fromkeys(by_id, 0)
+    for elem in network.elements:
+        nxt = [tid for tid, _ in map(_parse_target, elem.outputs.values()) if tid in by_id]
+        successors[elem.id] = nxt
+        for tid in nxt:
+            indegree[tid] += 1
+    ready = [eid for eid, d in indegree.items() if d == 0]
+    # amplitude waiting at each element, summed per input port
+    inbox: dict[str, dict[str, PolarizedAmplitude]] = {network.source_id: {"": network.emission}}
+    absorbed: dict[str, PolarizedAmplitude] = {}
+    reached = {network.source_id}
+    visited = 0
+    while ready:
+        eid = ready.pop()
+        visited += 1
+        elem = by_id[eid]
+        try:
+            for port, amp in sorted(inbox.pop(eid, {}).items()):
+                for target, out, _ in _scatter(elem, port, amp):
+                    if isinstance(target, str):
+                        key, box = target, absorbed
+                    else:
+                        tid, tport = target
+                        if tid not in by_id:
+                            continue
+                        reached.add(tid)
+                        key, box = tport or _default_in_port(by_id[tid].kind), inbox.setdefault(tid, {})
+                    box[key] = box[key] + out if key in box else out
+        except ValueError as exc:  # finite params whose geometry overflows
+            raise ValueError(f"{eid}: {exc}") from None
+        for tid in successors[eid]:
+            indegree[tid] -= 1
+            if indegree[tid] == 0:
+                ready.append(tid)
+    if visited < len(indegree):
+        return None
+    return {aid: absorbed[aid].norm_sq() for aid in sorted(absorbed)}, reached
+
+
+def _enumerate(network: OpticalNetwork, path_cap: int) -> list[PathRecord]:
+    """Depth-first listing of every source-to-absorber route of a valid network."""
     done: list[PathRecord] = []
-    # stack entries: (element_id, in_port, amplitude, length, trace)
-    stack = []
-    for port in reversed(out_ports):
-        tid, tport = _parse_target(source.outputs[port])
-        if tid not in network:
-            continue
-        tport = tport or _default_in_port(network.element(tid).kind)
-        stack.append((tid, tport, network.emission * split, 0.0, (network.source_id,)))
-
+    # stack entries: (element, in_port, amplitude, length, trace so far)
+    stack = [(network.element(network.source_id), "", network.emission, 0.0, ())]
     while stack:
-        elem_id, in_port, amp, length, trace = stack.pop()
-        elem = network.element(elem_id)
-        trace = trace + (elem_id,)
-        kind = elem.kind
-
-        if kind in ("blocker", "detector"):
-            done.append(PathRecord(trace, amp, length))
-        elif kind == "screen":
-            L = float(elem.params["distance"])
-            x0 = float(elem.params["offsets"][in_port])
-            bins = _screen_bins(elem.params)
-            nb = len(bins)
-            for k in range(nb):
-                hyp = math.hypot(L, bins[k] - x0)
-                done.append(
-                    PathRecord(
-                        trace + (_screen_bin_id(elem_id, k, nb),),
-                        amp * path_phase(hyp),
-                        length + hyp,
-                    )
-                )
-        else:
-            branches = []  # (out_port, amplitude, added_length)
-            if kind == "mirror":
-                branches.append(("out", amp, 0.0))
-            elif kind == "phase_segment":
-                seg = float(elem.params["length"])
-                branches.append(("out", amp * path_phase(seg), seg))
-            elif kind in ("halfwave_plate", "quarterwave_double"):
-                plate = "half" if kind == "halfwave_plate" else "quarter_double_pass"
-                branches.append(("out", waveplate_apply(amp, plate, float(elem.params["axis"])), 0.0))
-            elif kind == "polarizer":
-                axis = float(elem.params["axis"])
-                done.append(PathRecord(trace + (f"{elem_id}.absorbed",), polarizer_reject(amp, axis), length))
-                branches.append(("out", polarizer_project(amp, axis), 0.0))
-            elif kind == "beamsplitter":
-                if in_port == "a":
-                    branches.append(("out1", amp * TRANSMIT_FACTOR, 0.0))
-                    branches.append(("out2", amp * REFLECT_FACTOR, 0.0))
-                else:
-                    branches.append(("out1", amp * REFLECT_FACTOR, 0.0))
-                    branches.append(("out2", amp * TRANSMIT_FACTOR, 0.0))
-            for out_port, new_amp, extra in reversed(branches):
-                target = elem.outputs.get(out_port)
-                if target is None:
-                    if lenient:
-                        continue
-                    raise ValueError(f"unwired port {elem_id}.{out_port}")
-                tid, tport = _parse_target(target)
-                if tid not in network:
-                    if lenient:
-                        continue
-                    raise ValueError(f"dangling port {elem_id}.{out_port}")
-                tport = tport or _default_in_port(network.element(tid).kind)
-                stack.append((tid, tport, new_amp, length + extra, trace))
-
+        elem, in_port, amp, length, trace = stack.pop()
+        trace = trace + (elem.id,)
+        for target, new_amp, extra in reversed(list(_scatter(elem, in_port, amp))):
+            if isinstance(target, str):
+                ids = trace if target == elem.id else trace + (target,)
+                done.append(PathRecord(ids, new_amp, length + extra))
+            else:
+                nxt = network.element(target[0])
+                port = target[1] or _default_in_port(nxt.kind)
+                stack.append((nxt, port, new_amp, length + extra, trace))
         if len(done) + len(stack) > path_cap:
             raise ValueError("path explosion")
-
     done.sort(key=lambda p: p.element_ids)
     return done
 
 
-def _total_echo(paths) -> float:
-    groups: dict[str, list[PathRecord]] = {}
-    for p in paths:
-        groups.setdefault(p.absorber, []).append(p)
-    return math.fsum(born_echo(g) for g in groups.values())
+def _invalid(defects) -> ValueError:
+    return ValueError("invalid network: " + "; ".join(str(d) for d in defects))
 
 
 def propagate_offers(network: OpticalNetwork, path_cap: int = DEFAULT_PATH_CAP) -> tuple[PathRecord, ...]:
-    """Enumerate every source-to-absorber path of a valid network.
+    """List every source-to-absorber route of a valid network: the explain
+    view of where each absorber's amplitude comes from.
 
     Paths come back sorted by their element-id sequence, so ordering is
     reproducible.  Raises ValueError on an invalid network or if the route
-    count exceeds path_cap.
+    count exceeds path_cap; echoes never need the routes (see validate).
     """
     report = validate(network)
     if not report.ok:
-        raise ValueError("invalid network: " + "; ".join(str(d) for d in report.defects))
-    return tuple(_enumerate(network, path_cap, lenient=False))
+        raise _invalid(report.defects)
+    return tuple(_enumerate(network, path_cap))
 
 
 def echo_table(paths) -> EchoTable:
@@ -446,7 +446,12 @@ def echo_table(paths) -> EchoTable:
 
 
 def network_echo_table(network: OpticalNetwork) -> EchoTable:
-    return echo_table(propagate_offers(network))
+    """Echo of every absorber the offer wave reaches, zero echoes included,
+    from the one sweep that validates the network."""
+    report = validate(network)
+    if not report.ok:
+        raise _invalid(report.defects)
+    return EchoTable(report.echoes)
 
 
 def calibrated(network: OpticalNetwork) -> OpticalNetwork:
@@ -459,7 +464,7 @@ def calibrated(network: OpticalNetwork) -> OpticalNetwork:
     report = validate(network)
     structural = [d for d in report.defects if d.kind != "echo-sum"]
     if structural:
-        raise ValueError("invalid network: " + "; ".join(str(d) for d in structural))
+        raise _invalid(structural)
     total = report.echo_sum
     if total is None or total <= 0:
         raise ValueError("network has no absorbed amplitude to calibrate")
@@ -497,6 +502,8 @@ def select_transaction(table: EchoTable, stream: RandomStream) -> str:
 
 def sample_counts(table: EchoTable, n: int, seed: int, base_event_index: int = 0) -> dict[str, int]:
     """Tally n transaction selections without materializing event records."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     ids, probs, cum = table._selection
     counts = np.zeros(len(ids), dtype=np.int64)
     for start in range(0, n, _CHUNK):

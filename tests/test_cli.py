@@ -284,3 +284,60 @@ def test_output_files_are_identical_across_thread_counts(tmp_path):
         assert "wall_time_ms" in proc.stderr  # timing goes to stderr only
         paths.append(out.read_bytes())
     assert paths[0] == paths[1]
+
+
+NON_FINITE = {
+    "P1": {"kind": "phase_segment", "params": {"length": float("nan")}, "outputs": {"out": "D"}},
+    "H1": {"kind": "halfwave_plate", "params": {"axis": float("inf")}, "outputs": {"out": "D"}},
+    "scr": {"kind": "screen", "params": {"bin_count": 5, "half_width": 2.0, "distance": float("inf"),
+                                         "offsets": {"in": 0.0}}},
+}
+
+
+@pytest.mark.parametrize("elem_id", sorted(NON_FINITE))
+def test_non_finite_params_are_config_errors_naming_the_element(tmp_path, capsys, elem_id):
+    elements = [{"id": "L", "kind": "source", "outputs": {"out": elem_id}},
+                {"id": elem_id, **NON_FINITE[elem_id]}]
+    if elem_id != "scr":
+        elements.append({"id": "D", "kind": "detector"})
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps({"source": "L", "elements": elements}))  # NaN / Infinity literals
+    assert main(["run", "custom", "--param", f"config={config}"]) == 2
+    err = capsys.readouterr().err
+    assert f"bad params: {elem_id}: non-finite" in err
+    assert "element at byte" in err and "path explosion" not in err
+
+
+def test_calibrating_a_dark_emission_is_a_config_error(tmp_path, capsys):
+    doc = json.loads(MZ_JSON)
+    doc.update(emission={"v": [0, 0]}, calibrate_emission=True)
+    config = tmp_path / "dark.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "custom", "--param", f"config={config}"]) == 2
+    assert "cannot calibrate emission" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["avalanche", "field"])
+def test_seed_is_refused_where_nothing_reads_it(capsys, model):
+    assert main(["dynamics", model, "--seed", "3", "--param", "t_end=1.0" if model == "avalanche" else "nx=5"]) == 2
+    assert "takes no --seed" in capsys.readouterr().err
+
+
+def test_compete_seed_defaults_to_zero(tmp_path):
+    argv = ["dynamics", "compete", "--param", "trials=50"]
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    assert main(argv + ["--out", str(default)]) == 0
+    assert main(argv + ["--seed", "0", "--out", str(explicit)]) == 0
+    assert json.loads(default.read_text())["seed"] == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows laying out the bins
+def test_overflowing_screen_geometry_is_a_config_error(tmp_path, capsys):
+    screen = {"bin_count": 3, "half_width": 1e308, "distance": 1e308, "offsets": {"in": 0.0}}
+    doc = {"source": "L", "elements": [{"id": "L", "kind": "source", "outputs": {"out": "scr"}},
+                                       {"id": "scr", "kind": "screen", "params": screen}]}
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "custom", "--param", f"config={config}"]) == 2
+    assert "bad params: scr: non-finite amplitude" in capsys.readouterr().err

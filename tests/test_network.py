@@ -1,12 +1,16 @@
 """Network validation, offer propagation, echo bookkeeping, event sampling."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqs.network import (
     DEFAULT_PATH_CAP,
+    ECHO_SUM_TOL,
     EchoTable,
     Element,
     OpticalNetwork,
@@ -20,7 +24,7 @@ from hqs.network import (
     validate,
 )
 from hqs.rng import RandomStream
-from hqs.wavecore import VERTICAL, PolarizedAmplitude
+from hqs.wavecore import VERTICAL, PolarizedAmplitude, born_echo
 
 
 def balanced_mz(blocked: bool = False) -> OpticalNetwork:
@@ -344,3 +348,100 @@ def test_event_records_replay_their_draws():
     for rec in records:
         stream = RandomStream(seed=17, event_index=rec.event_index)
         assert select_transaction(table, stream) == rec.selected_absorber
+
+
+_OPS = ("beamsplitter", "merge", "mirror", "phase_segment", "halfwave_plate",
+        "quarterwave_double", "polarizer")
+
+
+@st.composite
+def lossless_networks(draw):
+    """Random DAGs grown from the source's open ports; every port left open
+    at the end gets its own detector, so no amplitude can leak."""
+    outputs = {"src": {}}
+    elements = {}
+    open_ports = [("src", f"out{k}") for k in range(draw(st.integers(1, 3)))]
+
+    def attach(target):
+        owner, port = open_ports.pop(draw(st.integers(0, len(open_ports) - 1)))
+        outputs[owner][port] = target
+
+    for i in range(draw(st.integers(0, 8))):
+        eid = f"E{i}"
+        op = draw(st.sampled_from(_OPS))
+        params = {}
+        if op == "merge" and len(open_ports) >= 2:
+            attach(f"{eid}:a")
+            attach(f"{eid}:b")
+        else:
+            attach(f"{eid}:{draw(st.sampled_from('ab'))}" if op in ("beamsplitter", "merge") else eid)
+        kind = "beamsplitter" if op == "merge" else op
+        if kind == "phase_segment":
+            params["length"] = draw(st.floats(0.0, 3.0))
+        elif kind not in ("beamsplitter", "mirror"):
+            params["axis"] = draw(st.floats(-180.0, 180.0))
+        elements[eid] = (kind, params)
+        outputs[eid] = {}
+        open_ports += [(eid, p) for p in (("out1", "out2") if kind == "beamsplitter" else ("out",))]
+    for j in range(len(open_ports)):
+        attach(f"D{j}")
+        elements[f"D{j}"] = ("detector", {})
+    theta = draw(st.floats(0.0, math.pi))
+    phi = draw(st.floats(0.0, 2 * math.pi))
+    emission = PolarizedAmplitude(h=math.cos(theta), v=math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
+    net = [Element("src", "source", outputs=outputs["src"])]
+    net += [Element(eid, kind, params, outputs.get(eid, {})) for eid, (kind, params) in elements.items()]
+    return OpticalNetwork(tuple(net), "src", emission)
+
+
+@given(lossless_networks())
+@settings(max_examples=40, deadline=None)
+def test_sweep_conserves_echo_and_matches_the_route_sum(net):
+    report = validate(net)
+    assert report.ok, report.defects
+    assert abs(report.echo_sum - 1.0) <= ECHO_SUM_TOL
+    routes = {}
+    for p in propagate_offers(net):
+        routes.setdefault(p.absorber, []).append(p)
+    table = network_echo_table(net).entries
+    assert sorted(table) == sorted(routes)
+    for aid, paths in routes.items():
+        assert abs(table[aid] - born_echo(paths)) <= 1e-12, aid
+
+
+def test_twenty_splitter_chain_is_accepted_quickly():
+    # 2**20 routes; each splitter's out2 arm carries its own phase
+    n, lengths = 20, [(0.137 * k) % 1.0 for k in range(19)]
+    elements = [Element("L", "source", outputs={"out": "S0:a"})]
+    for k in range(n):
+        last = k == n - 1
+        elements.append(Element(f"S{k}", "beamsplitter",
+                                outputs={"out1": "D1" if last else f"S{k + 1}:a",
+                                         "out2": "D2" if last else f"P{k}"}))
+        if not last:
+            elements.append(Element(f"P{k}", "phase_segment", {"length": lengths[k]},
+                                    {"out": f"S{k + 1}:b"}))
+    elements += [Element("D1", "detector"), Element("D2", "detector")]
+    net = OpticalNetwork(tuple(elements), "L")
+
+    t = 1 / math.sqrt(2)
+    splitter = np.array([[t, 1j * t], [1j * t, t]])
+    state = np.array([1.0, 0.0], dtype=complex)
+    for k in range(n):
+        state = splitter @ state
+        if k < n - 1:
+            state[1] *= np.exp(2j * np.pi * lengths[k])
+    started = time.perf_counter()
+    table = network_echo_table(net)
+    elapsed = time.perf_counter() - started
+    assert validate(net).ok
+    assert table.entries["D1"] == pytest.approx(abs(state[0]) ** 2, abs=1e-12)
+    assert table.entries["D2"] == pytest.approx(abs(state[1]) ** 2, abs=1e-12)
+    assert elapsed < 1.0
+
+
+def test_sample_counts_refuses_a_negative_event_count():
+    table = EchoTable({"A": 0.5, "B": 0.5})
+    assert sample_counts(table, 0, seed=1) == {"A": 0, "B": 0}
+    with pytest.raises(ValueError, match="n must be"):
+        sample_counts(table, -5, seed=1)
