@@ -132,6 +132,8 @@ def _offset_of(text: str, needle: str) -> int:
 def _parse_network(doc: dict, text: str) -> OpticalNetwork:
     from .network import KINDS
 
+    if not isinstance(doc["elements"], list):
+        raise ConfigError("'elements' must be a JSON array")
     elements = []
     for entry in doc["elements"]:
         try:
@@ -143,6 +145,11 @@ def _parse_network(doc: dict, text: str) -> OpticalNetwork:
             raise ConfigError(
                 f"element {elem_id!r} at byte {_offset_of(text, elem_id)}: unknown kind {kind!r}"
             )
+        for key in ("params", "outputs"):
+            if not isinstance(entry.get(key, {}), dict):
+                raise ConfigError(
+                    f"element {elem_id!r} at byte {_offset_of(text, elem_id)}: {key} must be a JSON object"
+                )
         elements.append(
             Element(
                 str(elem_id),

@@ -84,17 +84,18 @@ def _run_two_slit(p, n, seed):
     )
 
 
+_LENS_IMAGES = {"img1": 0.5, "img2": 0.5}
+
+
 def _run_delayed_choice(p, n, seed):
-    if p["screen_up"]:
-        network = slits.slit_network()
-        analytic = dict(network_echo_table(network).entries)
-    else:
-        analytic = {"img1": 0.5, "img2": 0.5}
     if not n:
         if p["decision_time"] not in slits.DECISION_TIMES:
             raise ValueError(f"decision_time must be one of {slits.DECISION_TIMES}")
-        return RunResult(analytic)
+        table = network_echo_table(slits.slit_network()).entries if p["screen_up"] else _LENS_IMAGES
+        return RunResult(dict(table))
     out = slits.delayed_choice(p["screen_up"], p["decision_time"], n, seed)
+    # the screen's analytic values are the echoes the counts were drawn from
+    analytic = dict(out["table"].entries if p["screen_up"] else _LENS_IMAGES)
     extras = {"visibility": out["profile"].visibility} if out["profile"] else {}
     return RunResult(analytic, out["counts"], n, extras)
 

@@ -159,6 +159,7 @@ def delayed_choice(screen_up: bool, decision_time: str, n: int, seed: int):
     decision_time records when the screen choice was made relative to the
     photon passing the slits.  It is carried in the run description only;
     no computation reads it, and identical seeds give identical counts.
+    The echo table the counts were drawn from comes back under "table".
     """
     if decision_time not in DECISION_TIMES:
         raise ValueError(f"decision_time must be one of {DECISION_TIMES}")
@@ -166,9 +167,9 @@ def delayed_choice(screen_up: bool, decision_time: str, n: int, seed: int):
         network = slit_network()
         table = network_echo_table(network)
         profile = _profile_from_table(table, network)
-        return {"mode": "screen", "profile": profile, "counts": sample_counts(table, n, seed)}
-    counts = sample_counts(network_echo_table(_lens_network()), n, seed)
-    return {"mode": "image", "profile": None, "counts": counts}
+        return {"mode": "screen", "profile": profile, "table": table, "counts": sample_counts(table, n, seed)}
+    table = network_echo_table(_lens_network())
+    return {"mode": "image", "profile": None, "table": table, "counts": sample_counts(table, n, seed)}
 
 
 def _lens_network() -> OpticalNetwork:

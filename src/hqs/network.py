@@ -8,8 +8,12 @@ each (element, input port) and at each absorber, and an absorber's echo
 is the squared modulus of its sum.  The same sweep finds cycles,
 unreachable absorbers and lost amplitude, which makes it the validator
 too.  Exactly one absorber per event is then selected with probability
-proportional to its echo.  Listing routes one by one
-(propagate_offers) remains as an explain view for small networks.
+proportional to its echo.  Counts-only runs never pick per event: each
+chunk of draws is scaled and sorted once, and the count of every absorber
+is read off by binary search of the sorted draws at the cumulative-table
+thresholds, which gives the same counts as picking event by event.
+Listing routes one by one (propagate_offers) remains as an explain view
+for small networks.
 
 Element kinds and their scattering behavior:
 
@@ -500,8 +504,33 @@ def select_transaction(table: EchoTable, stream: RandomStream) -> str:
     return ids[idx]
 
 
+def _tally(cum: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-entry counts equal to np.bincount(_pick(cum, probs, u)).
+
+    _pick sends draw u to #{j : cum[j] <= u*cum[-1]}, so the draws at or
+    above entry j number those whose scaled value reaches cum[j - 1]: one
+    binary search per threshold in the sorted draws, differenced.  A zero-
+    probability entry has cum[i] == cum[i - 1] and owns no draws, so the
+    walk down off zero entries can only fire on the clamped top bucket.
+    """
+    scaled = np.sort(u * cum[-1])
+    above = scaled.size - np.searchsorted(scaled, cum, side="left")
+    counts = -np.diff(above, prepend=scaled.size)
+    # draws at or past the last threshold clamp to the last entry, then walk
+    # down with any zero entries above the last nonzero one
+    top = int(np.flatnonzero(probs)[-1])
+    counts[top] += counts[top + 1:].sum() + above[-1]
+    counts[top + 1:] = 0
+    return counts
+
+
 def sample_counts(table: EchoTable, n: int, seed: int, base_event_index: int = 0) -> dict[str, int]:
-    """Tally n transaction selections without materializing event records."""
+    """Tally n transaction selections without materializing event records.
+
+    Each chunk of draws is tallied by sorted thresholds (_tally), never
+    picked event by event; the counts equal those of run_events and of
+    select_transaction for the same (seed, event) draws, bit for bit.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     ids, probs, cum = table._selection
@@ -509,8 +538,7 @@ def sample_counts(table: EchoTable, n: int, seed: int, base_event_index: int = 0
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         ev = np.arange(base_event_index + start, base_event_index + stop, dtype=np.uint64)
-        u = uniform_block(seed, ev)
-        counts += np.bincount(_pick(cum, probs, u), minlength=len(ids))
+        counts += _tally(cum, probs, uniform_block(seed, ev))
     return {aid: int(c) for aid, c in zip(ids, counts)}
 
 

@@ -341,3 +341,20 @@ def test_overflowing_screen_geometry_is_a_config_error(tmp_path, capsys):
     config.write_text(json.dumps(doc))
     assert main(["run", "custom", "--param", f"config={config}"]) == 2
     assert "bad params: scr: non-finite amplitude" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "elem_id, key, value",
+    [("D1", "params", [1, 2]), ("S1", "outputs", ["D1"])],
+    ids=["params-list", "outputs-list"],
+)
+def test_non_object_params_or_outputs_are_config_errors(tmp_path, capsys, elem_id, key, value):
+    doc = json.loads(MZ_JSON)
+    next(e for e in doc["elements"] if e["id"] == elem_id)[key] = value
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "custom", "--param", f"config={config}"]) == 2
+    err = capsys.readouterr().err
+    assert f"element {elem_id!r} at byte" in err
+    assert f"{key} must be a JSON object" in err
+    assert "internal error" not in err

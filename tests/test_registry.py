@@ -40,3 +40,21 @@ def test_every_entry_documents_itself():
         for key, p in entry.params.items():
             assert p.help, (name, key)
             assert p.kind in (bool, int, float, str), (name, key)
+
+
+@pytest.mark.parametrize("n, sweeps", [(None, 2), (400, 2)])
+def test_delayed_choice_sweeps_the_screen_once_per_table(monkeypatch, n, sweeps):
+    # calibrating the slit network is one sweep, its echo table another;
+    # the sampled run reads its analytic values from the table it drew from
+    from hqs import network
+
+    calls = []
+    real = network._sweep
+    monkeypatch.setattr(network, "_sweep", lambda net: calls.append(net) or real(net))
+    entry = EXPERIMENTS["delayed_choice"]
+    params = {k: p.default for k, p in entry.params.items()}
+    assert params["screen_up"] is True
+    result = entry.run(params, n, 1)
+    assert len(calls) == sweeps
+    if n:
+        assert set(result.analytic) == set(result.counts)

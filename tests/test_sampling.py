@@ -1,0 +1,97 @@
+"""Vectorised samplers against their event-by-event definitions: the
+threshold tally behind sample_counts, and ev_recursive by rounds."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hqs.experiments import ev_recursive, mach_zehnder
+from hqs.network import _CHUNK, EchoTable, _pick, _tally, sample_counts, select_transaction
+from hqs.rng import RandomStream, uniform_block
+
+
+def scalar_ev(n_trials: int, seed: int) -> dict:
+    """The bomb-test recursion one photon at a time: a fresh stream per
+    trial, one select_transaction per shot."""
+    table = mach_zehnder(blocked=True)
+    detected = 0
+    shots_total = 0
+    for trial in range(n_trials):
+        stream = RandomStream(seed, trial)
+        while True:
+            shots_total += 1
+            outcome = select_transaction(table, stream)
+            if outcome == "D1":
+                continue
+            if outcome == "D2":
+                detected += 1
+            break
+    return {
+        "detected_at_d2": detected / n_trials,
+        "absorbed": (n_trials - detected) / n_trials,
+        "mean_photons_per_trial": shots_total / n_trials,
+        "detected_count": detected,
+        "absorbed_count": n_trials - detected,
+        "trials": n_trials,
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 5])
+def test_ev_rounds_match_the_scalar_loop(seed):
+    assert ev_recursive(10_000, seed) == scalar_ev(10_000, seed)
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK, _CHUNK + 1])
+def test_ev_rounds_match_the_scalar_loop_across_block_edges(n):
+    assert ev_recursive(n, 3) == scalar_ev(n, 3)
+
+
+def _table(weights) -> EchoTable:
+    w = np.asarray(weights, dtype=float)
+    return EchoTable({f"a{i:05d}": float(x) for i, x in enumerate(w / w.sum())})
+
+
+@st.composite
+def tables(draw):
+    k = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(k) * (rng.random(k) >= draw(st.sampled_from([0.0, 0.3, 0.9])))
+    if k > 1:
+        if draw(st.booleans()):
+            weights[0] = 0.0
+        if draw(st.booleans()):
+            weights[-1] = 0.0
+    if not weights.any():
+        weights[rng.integers(k)] = 1.0
+    return _table(weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tables(),
+    st.integers(0, 3 * _CHUNK),
+    st.integers(0, 2**63 - 1),
+    st.integers(0, 2**40),
+)
+def test_threshold_tally_equals_per_event_picks(table, n, seed, base):
+    ids, probs, cum = table._selection
+    u = uniform_block(seed, np.arange(base, base + n, dtype=np.uint64))
+    want = np.bincount(_pick(cum, probs, u), minlength=len(ids))
+    assert sample_counts(table, n, seed, base) == dict(zip(ids, want.tolist()))
+
+
+def test_tally_handles_draws_on_the_edges_of_the_table():
+    # zero first entry, zero last two: the clamped top bucket must walk down
+    # to the last nonzero entry, and a draw on a threshold belongs above it
+    ids, probs, cum = _table([0.0, 0.25, 0.75, 0.0, 0.0])._selection
+    edges = [0.0, 1.0, np.nextafter(1.0, 0.0), 0.25]
+    for u in [*([x] for x in edges), edges, edges * 3]:
+        u = np.array(u)
+        want = np.bincount(_pick(cum, probs, u), minlength=len(ids))
+        assert _tally(cum, probs, u).tolist() == want.tolist(), u
+
+
+def test_tally_of_no_draws_is_all_zero():
+    _, probs, cum = _table([0.0, 1.0, 0.0])._selection
+    assert _tally(cum, probs, np.array([])).tolist() == [0, 0, 0]
