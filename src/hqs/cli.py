@@ -150,13 +150,15 @@ def _parse_network(doc: dict, text: str) -> OpticalNetwork:
                 raise ConfigError(
                     f"element {elem_id!r} at byte {_offset_of(text, elem_id)}: {key} must be a JSON object"
                 )
+        outputs = entry.get("outputs", {})
+        for port, target in outputs.items():
+            if not isinstance(target, str):
+                raise ConfigError(
+                    f"element {elem_id!r} at byte {_offset_of(text, elem_id)}: "
+                    f"output {port!r} must be a JSON string naming its target"
+                )
         elements.append(
-            Element(
-                str(elem_id),
-                str(kind),
-                dict(entry.get("params", {})),
-                {str(k): str(v) for k, v in entry.get("outputs", {}).items()},
-            )
+            Element(str(elem_id), str(kind), dict(entry.get("params", {})), dict(outputs))
         )
     try:
         source = doc["source"]

@@ -8,16 +8,19 @@ the two distances differ by a half-integer number of wavelengths.
 
 The default screen half-width is tuned so that one bin lands exactly on
 the first interference minimum (the grid would otherwise straddle the
-zeros and clip the analytic visibility below 1).
+zeros and clip the analytic visibility below 1).  That minimum has a
+closed form: the screen points half a wave out of step lie on the
+hyperbola with the two slits as foci and semi-major axis a = 1/4, so with
+b^2 = (d/2)^2 - a^2 the first one sits at x1 = a * sqrt(1 + L^2 / b^2).
+
+The wire-grid interception is closed-form too: over one fringe period
+1 + cos(2 pi x) integrates to 1, and over a wire of width w centred on a
+minimum to w - sin(pi w) / pi.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from ..network import (
     EchoTable,
@@ -44,11 +47,23 @@ def path_difference(x: float, d: float, L: float) -> float:
     return math.hypot(L, x + d / 2.0) - math.hypot(L, x - d / 2.0)
 
 
-@lru_cache(maxsize=None)
 def first_minimum_position(d: float, L: float) -> float:
-    """Screen coordinate where the path difference is exactly half a wave."""
-    upper = L  # the difference approaches d well before x = L
-    return brentq(lambda x: path_difference(x, d, L) - 0.5, 0.0, upper, xtol=1e-13)
+    """Screen coordinate where the path difference is exactly half a wave.
+
+    Those points lie on the hyperbola |r1 - r2| = 2a with a = 1/4 and foci
+    at the slits (+-d/2); with b^2 = (d/2)^2 - a^2 it meets the screen at
+    x = a * sqrt(1 + L^2 / b^2).  Slits at most half a wave apart
+    (d <= 0.5) never reach half a wave of difference, so there is no
+    minimum and ValueError is raised.
+    """
+    if not d > 0.5:
+        raise ValueError(
+            f"d={d!r} has no first minimum: the slits must be more than half "
+            "a wave apart (d > 0.5); give half_width to size the screen"
+        )
+    a = 0.25
+    b2 = (d / 2.0) ** 2 - a * a
+    return a * math.sqrt(1.0 + L * L / b2)
 
 
 def default_half_width(d: float = DEFAULT_SLIT_SEPARATION, L: float = DEFAULT_SCREEN_DISTANCE,
@@ -191,10 +206,12 @@ def afshar(wire_count: int = 6, wire_width: float = 0.06, both_slits: bool = Tru
 
     Far-field fringe model with period 1: both slits give intensity
     1 + cos(2*pi*x) (minima at half-integer x), one slit gives a flat
-    profile.  One wire of width wire_width sits on each minimum; the
-    aperture spans wire_count full periods.  With both slits open the grid
-    sits in the dark fringes and intercepts ~pi^2 w^3 / 6; with one slit
-    the same grid shades exactly its geometric fill fraction.
+    profile.  One wire of width w = wire_width sits on each minimum; the
+    aperture spans wire_count full periods.  Each period carries 1 of
+    intensity and each wire w - sin(pi w) / pi of it, so with both slits
+    open the grid sits in the dark fringes and intercepts
+    w - sin(pi w) / pi ~ pi^2 w^3 / 6; with one slit the same grid shades
+    exactly its geometric fill fraction w.
     """
     if wire_count < 1:
         raise ValueError("wire_count must be >= 1")
@@ -204,18 +221,11 @@ def afshar(wire_count: int = 6, wire_width: float = 0.06, both_slits: bool = Tru
         raise ValueError("wires overlap: width must be below the fringe period")
 
     if both_slits:
-        intensity = lambda x: 1.0 + math.cos(math.tau * x)
+        fraction = wire_width - math.sin(math.pi * wire_width) / math.pi
     else:
-        intensity = lambda x: 0.5
-
-    total, _ = quad(intensity, 0.0, wire_count, limit=200)
-    intercepted = 0.0
-    for m in range(wire_count):
-        center = m + 0.5
-        part, _ = quad(intensity, center - wire_width / 2.0, center + wire_width / 2.0)
-        intercepted += part
+        fraction = wire_width
     return {
-        "intercepted_fraction": intercepted / total,
+        "intercepted_fraction": fraction,
         "wire_count": wire_count,
         "wire_width": wire_width,
         "both_slits": both_slits,

@@ -358,3 +358,65 @@ def test_non_object_params_or_outputs_are_config_errors(tmp_path, capsys, elem_i
     assert f"element {elem_id!r} at byte" in err
     assert f"{key} must be a JSON object" in err
     assert "internal error" not in err
+
+
+def test_non_string_output_target_is_a_config_error(tmp_path, capsys):
+    doc = json.loads(MZ_JSON)
+    next(e for e in doc["elements"] if e["id"] == "S1")["outputs"]["out1"] = {"x": 1}
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "custom", "--param", f"config={config}"]) == 2
+    err = capsys.readouterr().err
+    assert "element 'S1' at byte" in err
+    assert "output 'out1' must be a JSON string" in err
+    assert "dangling port" not in err and "echo-sum" not in err
+
+
+@pytest.mark.parametrize(
+    "params, code",
+    [(["d=0.6", "L=3"], 0), (["d=0.4"], 2), (["d=-20"], 2), (["d=-20", "half_width=30"], 0)],
+    ids=["minimum-beyond-L", "slits-too-close", "negative-d", "explicit-half-width"],
+)
+def test_two_slit_geometry_exit_codes(capsys, params, code):
+    argv = ["run", "two_slit", "--events", "1000"]
+    for p in params:
+        argv += ["--param", p]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "d=" in err and "half_width" in err
+        assert "f(a) and f(b)" not in err
+
+
+NO_SCIPY_CHILD = """
+import importlib.abc
+import sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from hqs.cli import main
+from hqs.experiments.registry import EXPERIMENTS
+
+runs = [["list"], ["dynamics", "compete", "--param", "trials=50"]]
+for name in EXPERIMENTS:
+    runs += [["run", name], ["run", name, "--events", "2000"]]
+for argv in runs:
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_runtime_never_imports_scipy():
+    # every registered run, the listing and the dynamics run with scipy unimportable
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD], capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hqs.experiments import (
@@ -31,6 +33,22 @@ def test_first_minimum_sits_at_half_wavelength_difference():
     assert path_difference(x1, 20.0, 2000.0) == pytest.approx(0.5, abs=1e-10)
     # small-angle estimate L/(2 d) lands nearby but not exactly
     assert x1 == pytest.approx(2000.0 / 40.0, rel=0.01)
+
+
+@given(d=st.floats(0.6, 200.0), L=st.floats(0.5, 1e4))
+@example(d=0.6, L=3.0)  # the minimum lies beyond x = L, at x ~ 4.53
+@example(d=0.6, L=1e4)
+@example(d=200.0, L=0.5)
+@settings(max_examples=200, deadline=None)
+def test_first_minimum_is_half_a_wave_for_any_geometry(d, L):
+    x1 = first_minimum_position(d, L)
+    assert abs(path_difference(x1, d, L) - 0.5) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [0.5, 0.4, 0.0, -20.0, math.nan])
+def test_no_first_minimum_when_slits_are_half_a_wave_apart_or_less(d):
+    with pytest.raises(ValueError, match="half_width"):
+        first_minimum_position(d, 2000.0)
 
 
 def test_default_screen_width_places_a_bin_on_the_minimum():
@@ -141,6 +159,27 @@ def test_wire_grid_interception_oracle():
 
     one = afshar(wire_count=6, wire_width=w, both_slits=False)
     assert one["intercepted_fraction"] == pytest.approx(w, abs=3e-3)
+
+
+def _simpson(f, a, b, intervals=2000):
+    xs = np.linspace(a, b, intervals + 1)
+    weights = np.ones(intervals + 1)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    return float(np.sum(weights * f(xs)) * (b - a) / (3.0 * intervals))
+
+
+@pytest.mark.parametrize("wire_count", [1, 6])
+@pytest.mark.parametrize("both_slits", [True, False])
+@pytest.mark.parametrize("w", [0.01, 0.06, 0.25, 0.5, 0.9, 0.999])
+def test_wire_grid_matches_simpson_integration(w, wire_count, both_slits):
+    if both_slits:
+        intensity = lambda x: 1.0 + np.cos(2 * np.pi * x)
+    else:
+        intensity = lambda x: np.full_like(x, 0.5)
+    total = _simpson(intensity, 0.0, float(wire_count), 2000 * wire_count)
+    intercepted = sum(_simpson(intensity, m + 0.5 - w / 2, m + 0.5 + w / 2) for m in range(wire_count))
+    result = afshar(wire_count=wire_count, wire_width=w, both_slits=both_slits)
+    assert abs(result["intercepted_fraction"] - intercepted / total) <= 1e-10
 
 
 def test_wire_grid_scales_with_width_cubed():
