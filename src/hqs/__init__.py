@@ -34,9 +34,7 @@ from .network import (
     OpticalNetwork,
     ValidationReport,
     calibrated,
-    echo_table,
     network_echo_table,
-    propagate_offers,
     run_events,
     sample_counts,
     select_transaction,
@@ -46,9 +44,7 @@ from .rng import RandomStream, counter_word, uniform01, uniform_block
 from .wavecore import (
     HORIZONTAL,
     VERTICAL,
-    PathRecord,
     PolarizedAmplitude,
-    beamsplitter_scatter,
     born_echo,
     path_phase,
     polarizer_project,
@@ -67,13 +63,11 @@ __all__ = [
     "FieldGrid",
     "HORIZONTAL",
     "OpticalNetwork",
-    "PathRecord",
     "PolarizedAmplitude",
     "RandomStream",
     "TwoLevelAtom",
     "ValidationReport",
     "VERTICAL",
-    "beamsplitter_scatter",
     "beat_frequency",
     "born_echo",
     "calibrated",
@@ -82,7 +76,6 @@ __all__ = [
     "default_config",
     "dipole_amplitude",
     "dipole_signal",
-    "echo_table",
     "field_snapshot",
     "integrate_pair",
     "logistic_exact",
@@ -90,7 +83,6 @@ __all__ = [
     "path_phase",
     "polarizer_project",
     "polarizer_reject",
-    "propagate_offers",
     "run_events",
     "sample_counts",
     "select_transaction",

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -82,9 +83,12 @@ def _coerce(spec: Param, key: str, value):
             if isinstance(value, str) and value.lower() in ("true", "false", "1", "0"):
                 return value.lower() in ("true", "1")
             raise ValueError(value)
-        return spec.kind(value)
-    except (TypeError, ValueError) as exc:
+        value = spec.kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
+    if spec.kind is float and not math.isfinite(value):
+        raise ConfigError(f"bad value for {key!r}: {value} is not finite")
+    return value
 
 
 def spec_to_dict(spec: RunSpec) -> dict:
@@ -124,9 +128,7 @@ def parse_config(text: str):
     raise ConfigError("JSON must contain either 'experiment' or 'elements'")
 
 
-def _offset_of(text: str, needle: str) -> int:
-    pos = text.find(f'"{needle}"')
-    return pos if pos >= 0 else -1
+_ID_ENTRY = re.compile(r'"id"\s*:\s*("(?:[^"\\]|\\.)*")')
 
 
 def _parse_network(doc: dict, text: str) -> OpticalNetwork:
@@ -135,28 +137,33 @@ def _parse_network(doc: dict, text: str) -> OpticalNetwork:
     if not isinstance(doc["elements"], list):
         raise ConfigError("'elements' must be a JSON array")
     elements = []
+    # byte offset of each element's own "id": "<id>" entry; elements appear
+    # in document order, so each search starts after the previous match
+    offsets: dict[str, int] = {}
+    searched_to = 0
     for entry in doc["elements"]:
         try:
             elem_id = entry["id"]
             kind = entry["kind"]
         except (KeyError, TypeError):
             raise ConfigError("every element needs an id and a kind") from None
+        offset = None
+        if isinstance(elem_id, str):
+            for m in _ID_ENTRY.finditer(text, searched_to):
+                if json.loads(m.group(1)) == elem_id:
+                    offset = offsets.setdefault(elem_id, m.start())
+                    searched_to = m.end()
+                    break
+        where = f"element {elem_id!r}" + ("" if offset is None else f" at byte {offset}")
         if kind not in KINDS:
-            raise ConfigError(
-                f"element {elem_id!r} at byte {_offset_of(text, elem_id)}: unknown kind {kind!r}"
-            )
+            raise ConfigError(f"{where}: unknown kind {kind!r}")
         for key in ("params", "outputs"):
             if not isinstance(entry.get(key, {}), dict):
-                raise ConfigError(
-                    f"element {elem_id!r} at byte {_offset_of(text, elem_id)}: {key} must be a JSON object"
-                )
+                raise ConfigError(f"{where}: {key} must be a JSON object")
         outputs = entry.get("outputs", {})
         for port, target in outputs.items():
             if not isinstance(target, str):
-                raise ConfigError(
-                    f"element {elem_id!r} at byte {_offset_of(text, elem_id)}: "
-                    f"output {port!r} must be a JSON string naming its target"
-                )
+                raise ConfigError(f"{where}: output {port!r} must be a JSON string naming its target")
         elements.append(
             Element(str(elem_id), str(kind), dict(entry.get("params", {})), dict(outputs))
         )
@@ -170,8 +177,7 @@ def _parse_network(doc: dict, text: str) -> OpticalNetwork:
     hard = [d for d in report.defects if d.kind != "echo-sum" or not doc.get("calibrate_emission")]
     if hard:
         details = "; ".join(
-            f"{d} (element at byte {_offset_of(text, d.detail.split(':')[0].split('.')[0].split(' ')[0])})"
-            for d in hard
+            f"{d} (element at byte {offsets[d.element]})" if d.element in offsets else str(d) for d in hard
         )
         raise ConfigError(f"invalid network: {details}")
     if doc.get("calibrate_emission"):

@@ -7,13 +7,13 @@ vector, so one sweep in topological order sums the amplitude arriving at
 each (element, input port) and at each absorber, and an absorber's echo
 is the squared modulus of its sum.  The same sweep finds cycles,
 unreachable absorbers and lost amplitude, which makes it the validator
-too.  Exactly one absorber per event is then selected with probability
-proportional to its echo.  Counts-only runs never pick per event: each
-chunk of draws is scaled and sorted once, and the count of every absorber
-is read off by binary search of the sorted draws at the cumulative-table
-thresholds, which gives the same counts as picking event by event.
-Listing routes one by one (propagate_offers) remains as an explain view
-for small networks.
+too; validate computes that report once per network object and keeps it
+on the network.  Exactly one absorber per event is then selected with
+probability proportional to its echo.  Counts-only runs never pick per
+event: each chunk of draws is scaled and sorted once, and the count of
+every absorber is read off by binary search of the sorted draws at the
+cumulative-table thresholds, which gives the same counts as picking event
+by event.
 
 Element kinds and their scattering behavior:
 
@@ -51,9 +51,7 @@ from .wavecore import (
     REFLECT_FACTOR,
     TRANSMIT_FACTOR,
     VERTICAL,
-    PathRecord,
     PolarizedAmplitude,
-    born_echo,
     path_phase,
     polarizer_project,
     polarizer_reject,
@@ -61,7 +59,6 @@ from .wavecore import (
 )
 
 ECHO_SUM_TOL = 1e-9
-DEFAULT_PATH_CAP = 10**6
 _CHUNK = 1 << 16
 
 KINDS = {
@@ -116,6 +113,7 @@ class OpticalNetwork:
     def __post_init__(self):
         self.elements = tuple(self.elements)
         self._by_id = {e.id: e for e in self.elements}
+        self._report = None  # set by validate
 
     def element(self, elem_id: str) -> Element:
         return self._by_id[elem_id]
@@ -126,8 +124,12 @@ class OpticalNetwork:
 
 @dataclass(frozen=True)
 class Defect:
+    """element names the element the defect is about, or is None when the
+    defect belongs to the network as a whole (a short echo sum)."""
+
     kind: str
     detail: str
+    element: str | None
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.detail}"
@@ -177,74 +179,105 @@ class EventRecord:
 
 def validate(network: OpticalNetwork) -> ValidationReport:
     """Structural checks, then one sweep for cycles, reachability and the
-    echo sum; collects every defect found."""
+    echo sum; collects every defect found.
+
+    The report is computed once per network object and kept on it, so
+    every later reader of the same network (network_echo_table,
+    calibrated) reuses that one sweep.
+    """
+    if network._report is None:
+        network._report = _validate(network)
+    return network._report
+
+
+def _validate(network: OpticalNetwork) -> ValidationReport:
     defects: list[Defect] = []
-    add = lambda kind, detail: defects.append(Defect(kind, detail))
+    add = lambda kind, detail, element: defects.append(Defect(kind, detail, element))
 
     ids = [e.id for e in network.elements]
     if len(set(ids)) != len(ids):
-        add("duplicate id", ", ".join(sorted({i for i in ids if ids.count(i) > 1})))
+        dups = sorted({i for i in ids if ids.count(i) > 1})
+        add("duplicate id", ", ".join(dups), dups[0])
     if network.source_id not in network:
-        add("missing source", network.source_id)
+        add("missing source", network.source_id, network.source_id)
     else:
         src = network.element(network.source_id)
         if src.kind != "source":
-            add("missing source", f"{network.source_id} has kind {src.kind}")
+            add("missing source", f"{network.source_id} has kind {src.kind}", src.id)
 
     in_edges: dict[tuple[str, str], list[str]] = {}
     for elem in network.elements:
         if elem.kind not in KINDS:
-            add("unknown kind", f"{elem.id}: {elem.kind}")
+            add("unknown kind", f"{elem.id}: {elem.kind}", elem.id)
             continue
         defects.extend(_check_params(elem))
         defects.extend(_check_ports(elem))
         for port, target in sorted(elem.outputs.items()):
             tid, tport = _parse_target(target)
             if tid not in network:
-                add("dangling port", f"{elem.id}.{port} -> {target}")
+                add("dangling port", f"{elem.id}.{port} -> {target}", elem.id)
                 continue
             tkind = network.element(tid).kind
             if tkind == "source":
-                add("bad wiring", f"{elem.id}.{port} feeds source {tid}")
+                add("bad wiring", f"{elem.id}.{port} feeds source {tid}", elem.id)
             tport = tport or _default_in_port(tkind)
             if tkind == "beamsplitter" and tport not in ("a", "b"):
-                add("bad wiring", f"{elem.id}.{port} -> unknown input {tid}:{tport}")
+                add("bad wiring", f"{elem.id}.{port} -> unknown input {tid}:{tport}", elem.id)
             if tkind == "screen":
                 offsets = network.element(tid).params.get("offsets", {})
                 if tport not in offsets:
-                    add("bad wiring", f"{elem.id}.{port} -> screen {tid} has no offset for port {tport}")
+                    add("bad wiring", f"{elem.id}.{port} -> screen {tid} has no offset for port {tport}", elem.id)
             in_edges.setdefault((tid, tport), []).append(elem.id)
 
     for (tid, tport), feeders in sorted(in_edges.items()):
         if len(feeders) > 1:
-            add("input collision", f"{tid}:{tport} fed by {', '.join(sorted(feeders))}")
+            add("input collision", f"{tid}:{tport} fed by {', '.join(sorted(feeders))}", tid)
 
     # the sweep needs unique ids, known kinds, a source and usable params
     if any(d.kind in ("unknown kind", "missing source", "duplicate id", "bad params") for d in defects):
         return ValidationReport(False, tuple(defects))
 
     try:
-        swept = _sweep(network)
+        echoes, reached = _sweep(network)
     except ValueError as exc:
-        add("bad params", str(exc))
+        eid, why = exc.args
+        add("bad params", f"{eid}: {why}", eid)
         return ValidationReport(False, tuple(defects))
-    if swept is None:
-        add("cycle", "network graph contains a cycle")
+    if echoes is None:
+        add("cycle", "network graph contains a cycle", _on_cycle(network, reached))
         return ValidationReport(False, tuple(defects))
-    echoes, reached = swept
 
     for elem in network.elements:
         if elem.kind in TERMINAL_KINDS and elem.id not in reached:
-            add("unreachable absorber", elem.id)
+            add("unreachable absorber", elem.id, elem.id)
     echo_sum = math.fsum(echoes.values())
     if abs(echo_sum - 1.0) > ECHO_SUM_TOL:
-        add("echo-sum", f"{echo_sum:.6g}")
+        add("echo-sum", f"{echo_sum:.6g}", None)
     return ValidationReport(not defects, tuple(defects), echo_sum, echoes)
+
+
+def _on_cycle(network: OpticalNetwork, stuck: set) -> str:
+    """One element on a cycle, given the elements the sweep never visited.
+
+    Each of those still waits on an unvisited predecessor, so walking back
+    through them must repeat an element, and that element lies on a cycle.
+    """
+    preds: dict[str, list[str]] = {eid: [] for eid in stuck}
+    for eid in stuck:
+        for tid, _ in map(_parse_target, network.element(eid).outputs.values()):
+            if tid in preds:
+                preds[tid].append(eid)
+    seen: set[str] = set()
+    eid = min(stuck)
+    while eid not in seen:
+        seen.add(eid)
+        eid = min(preds[eid])
+    return eid
 
 
 def _check_params(elem: Element) -> list[Defect]:
     out = []
-    bad = lambda detail: out.append(Defect("bad params", f"{elem.id}: {detail}"))
+    bad = lambda detail: out.append(Defect("bad params", f"{elem.id}: {detail}", elem.id))
     p = elem.params
     try:
         if elem.kind == "phase_segment":
@@ -280,30 +313,30 @@ def _check_ports(elem: Element) -> list[Defect]:
     ports = set(elem.outputs)
     if elem.kind in TERMINAL_KINDS:
         if ports:
-            out.append(Defect("bad wiring", f"terminal {elem.id} has outputs"))
+            out.append(Defect("bad wiring", f"terminal {elem.id} has outputs", elem.id))
     elif elem.kind == "source":
         if not ports:
-            out.append(Defect("dangling port", f"source {elem.id} has no outputs"))
+            out.append(Defect("dangling port", f"source {elem.id} has no outputs", elem.id))
     elif elem.kind == "beamsplitter":
         if ports != {"out1", "out2"}:
-            out.append(Defect("dangling port", f"{elem.id} needs out1 and out2, has {sorted(ports)}"))
+            out.append(Defect("dangling port", f"{elem.id} needs out1 and out2, has {sorted(ports)}", elem.id))
     elif elem.kind in _SINGLE_OUT:
         if ports != {"out"}:
-            out.append(Defect("dangling port", f"{elem.id} needs out, has {sorted(ports)}"))
+            out.append(Defect("dangling port", f"{elem.id} needs out, has {sorted(ports)}", elem.id))
     return out
 
 
 def _scatter(elem: Element, in_port: str, amp: PolarizedAmplitude):
     """What one element does to the amplitude arriving on one input port.
 
-    Yields (target, amplitude, added_length).  target is an absorber id,
-    or an (element id, input port) pair read from the wiring, where an
-    empty port means the target's default input.  Unwired outputs and
-    screen ports without an offset yield nothing; validate reports them.
+    Yields (target, amplitude).  target is an absorber id, or an (element
+    id, input port) pair read from the wiring, where an empty port means the
+    target's default input.  Unwired outputs and screen ports without an
+    offset yield nothing; validate reports them.
     """
     kind = elem.kind
     if kind in ("blocker", "detector"):
-        yield elem.id, amp, 0.0
+        yield elem.id, amp
         return
     if kind == "screen":
         x0 = elem.params["offsets"].get(in_port)
@@ -313,34 +346,31 @@ def _scatter(elem: Element, in_port: str, amp: PolarizedAmplitude):
         bins = _screen_bins(elem.params).tolist()
         pad = len(str(len(bins) - 1))
         for k, x in enumerate(bins):
-            hyp = math.hypot(L, x - x0)
-            yield f"{elem.id}[{k:0{pad}d}]", amp * path_phase(hyp), hyp
+            yield f"{elem.id}[{k:0{pad}d}]", amp * path_phase(math.hypot(L, x - x0))
         return
 
     if kind == "source":
         ports = sorted(elem.outputs)
         split = 1.0 / math.sqrt(len(ports)) if ports else 0.0
-        branches = [(port, amp * split, 0.0) for port in ports]
+        branches = [(port, amp * split) for port in ports]
     elif kind == "mirror":
-        branches = [("out", amp, 0.0)]
+        branches = [("out", amp)]
     elif kind == "phase_segment":
-        seg = float(elem.params["length"])
-        branches = [("out", amp * path_phase(seg), seg)]
+        branches = [("out", amp * path_phase(float(elem.params["length"])))]
     elif kind in ("halfwave_plate", "quarterwave_double"):
-        plate = "half" if kind == "halfwave_plate" else "quarter_double_pass"
-        branches = [("out", waveplate_apply(amp, plate, float(elem.params["axis"])), 0.0)]
+        branches = [("out", waveplate_apply(amp, float(elem.params["axis"])))]
     elif kind == "polarizer":
         axis = float(elem.params["axis"])
-        yield f"{elem.id}.absorbed", polarizer_reject(amp, axis), 0.0
-        branches = [("out", polarizer_project(amp, axis), 0.0)]
+        yield f"{elem.id}.absorbed", polarizer_reject(amp, axis)
+        branches = [("out", polarizer_project(amp, axis))]
     elif in_port == "a":  # beamsplitter
-        branches = [("out1", amp * TRANSMIT_FACTOR, 0.0), ("out2", amp * REFLECT_FACTOR, 0.0)]
+        branches = [("out1", amp * TRANSMIT_FACTOR), ("out2", amp * REFLECT_FACTOR)]
     else:
-        branches = [("out1", amp * REFLECT_FACTOR, 0.0), ("out2", amp * TRANSMIT_FACTOR, 0.0)]
-    for out_port, new_amp, extra in branches:
+        branches = [("out1", amp * REFLECT_FACTOR), ("out2", amp * TRANSMIT_FACTOR)]
+    for out_port, new_amp in branches:
         target = elem.outputs.get(out_port)
         if target is not None:
-            yield _parse_target(target), new_amp, extra
+            yield _parse_target(target), new_amp
 
 
 def _sweep(network: OpticalNetwork):
@@ -348,10 +378,11 @@ def _sweep(network: OpticalNetwork):
 
     Returns (echoes, reached): absorber id -> squared modulus of the summed
     amplitude, in sorted-id order, and the ids of the elements the wave
-    arrived at.  Returns None if the graph has a cycle, and raises
-    ValueError naming the element whose output is not finite.  Amplitude
-    sent to a missing element is dropped, so a wiring defect shows up as a
-    short echo sum.  Needs unique ids and checked params.
+    arrived at.  If the graph has a cycle it returns (None, stuck), the ids
+    of the elements the sweep never visited.  Raises ValueError(element id,
+    reason) for an element whose output is not finite.  Amplitude sent to a
+    missing element is dropped, so a wiring defect shows up as a short echo
+    sum.  Needs unique ids and checked params.
     """
     by_id = network._by_id
     successors: dict[str, list[str]] = {}
@@ -373,7 +404,7 @@ def _sweep(network: OpticalNetwork):
         elem = by_id[eid]
         try:
             for port, amp in sorted(inbox.pop(eid, {}).items()):
-                for target, out, _ in _scatter(elem, port, amp):
+                for target, out in _scatter(elem, port, amp):
                     if isinstance(target, str):
                         key, box = target, absorbed
                     else:
@@ -384,69 +415,18 @@ def _sweep(network: OpticalNetwork):
                         key, box = tport or _default_in_port(by_id[tid].kind), inbox.setdefault(tid, {})
                     box[key] = box[key] + out if key in box else out
         except ValueError as exc:  # finite params whose geometry overflows
-            raise ValueError(f"{eid}: {exc}") from None
+            raise ValueError(eid, str(exc)) from None
         for tid in successors[eid]:
             indegree[tid] -= 1
             if indegree[tid] == 0:
                 ready.append(tid)
     if visited < len(indegree):
-        return None
+        return None, {tid for tid, d in indegree.items() if d}
     return {aid: absorbed[aid].norm_sq() for aid in sorted(absorbed)}, reached
-
-
-def _enumerate(network: OpticalNetwork, path_cap: int) -> list[PathRecord]:
-    """Depth-first listing of every source-to-absorber route of a valid network."""
-    done: list[PathRecord] = []
-    # stack entries: (element, in_port, amplitude, length, trace so far)
-    stack = [(network.element(network.source_id), "", network.emission, 0.0, ())]
-    while stack:
-        elem, in_port, amp, length, trace = stack.pop()
-        trace = trace + (elem.id,)
-        for target, new_amp, extra in reversed(list(_scatter(elem, in_port, amp))):
-            if isinstance(target, str):
-                ids = trace if target == elem.id else trace + (target,)
-                done.append(PathRecord(ids, new_amp, length + extra))
-            else:
-                nxt = network.element(target[0])
-                port = target[1] or _default_in_port(nxt.kind)
-                stack.append((nxt, port, new_amp, length + extra, trace))
-        if len(done) + len(stack) > path_cap:
-            raise ValueError("path explosion")
-    done.sort(key=lambda p: p.element_ids)
-    return done
 
 
 def _invalid(defects) -> ValueError:
     return ValueError("invalid network: " + "; ".join(str(d) for d in defects))
-
-
-def propagate_offers(network: OpticalNetwork, path_cap: int = DEFAULT_PATH_CAP) -> tuple[PathRecord, ...]:
-    """List every source-to-absorber route of a valid network: the explain
-    view of where each absorber's amplitude comes from.
-
-    Paths come back sorted by their element-id sequence, so ordering is
-    reproducible.  Raises ValueError on an invalid network or if the route
-    count exceeds path_cap; echoes never need the routes (see validate).
-    """
-    report = validate(network)
-    if not report.ok:
-        raise _invalid(report.defects)
-    return tuple(_enumerate(network, path_cap))
-
-
-def echo_table(paths) -> EchoTable:
-    """Group paths by absorber and take the Born weight of each group.
-
-    Zero-echo absorbers stay in the table so reports always list every
-    absorber the offer wave reached.
-    """
-    paths = list(paths)
-    if not paths:
-        raise ValueError("no paths")
-    groups: dict[str, list[PathRecord]] = {}
-    for p in paths:
-        groups.setdefault(p.absorber, []).append(p)
-    return EchoTable({aid: born_echo(groups[aid]) for aid in sorted(groups)})
 
 
 def network_echo_table(network: OpticalNetwork) -> EchoTable:
@@ -455,7 +435,7 @@ def network_echo_table(network: OpticalNetwork) -> EchoTable:
     report = validate(network)
     if not report.ok:
         raise _invalid(report.defects)
-    return EchoTable(report.echoes)
+    return EchoTable(dict(report.echoes))  # a copy: the report stays on the network
 
 
 def calibrated(network: OpticalNetwork) -> OpticalNetwork:

@@ -88,53 +88,15 @@ VERTICAL = PolarizedAmplitude(v=1.0 + 0j)
 HORIZONTAL = PolarizedAmplitude(h=1.0 + 0j)
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    """One enumerated route from a source to an absorber.
-
-    element_ids is the ordered traversal; amplitude is the product of every
-    scattering factor along it applied to the emission amplitude;
-    accumulated_length counts explicit propagation segments in wavelengths.
-    """
-
-    element_ids: tuple[str, ...]
-    amplitude: PolarizedAmplitude
-    accumulated_length: float = 0.0
-
-    @property
-    def absorber(self) -> str:
-        return self.element_ids[-1]
-
-
-def born_echo(paths) -> float:
-    """Detection weight of one absorber from the paths that reach it.
-
-    Accepts PathRecords or bare PolarizedAmplitudes.  All records must end
-    at the same absorber; mixing absorbers here would silently merge
-    distinct detection alternatives.
-    """
-    if not paths:
+def born_echo(amplitudes) -> float:
+    """Detection weight of one absorber: the squared modulus of the coherent
+    sum of the amplitudes that reach it."""
+    if not amplitudes:
         raise ValueError("no paths")
     total = PolarizedAmplitude()
-    terminal = None
-    for p in paths:
-        amp = getattr(p, "amplitude", p)
-        ids = getattr(p, "element_ids", None)
-        if ids is not None:
-            if terminal is None:
-                terminal = ids[-1]
-            elif ids[-1] != terminal:
-                raise ValueError("paths end at different absorbers")
+    for amp in amplitudes:
         total = total + amp
     return total.norm_sq()
-
-
-def beamsplitter_scatter(amp: PolarizedAmplitude):
-    """Split one input of a lossless 50:50 splitter.
-
-    Returns (transmitted, reflected) = (amp/sqrt(2), amp*i/sqrt(2)).
-    """
-    return amp * TRANSMIT_FACTOR, amp * REFLECT_FACTOR
 
 
 def path_phase(length: float) -> complex:
@@ -158,17 +120,12 @@ def polarizer_reject(amp: PolarizedAmplitude, axis_deg: float) -> PolarizedAmpli
     return PolarizedAmplitude(-coef * s, coef * c)
 
 
-WAVEPLATE_KINDS = ("half", "quarter_double_pass")
+def waveplate_apply(amp: PolarizedAmplitude, axis_deg: float) -> PolarizedAmplitude:
+    """Apply a half-wave plate with its fast axis at axis_deg.
 
-
-def waveplate_apply(amp: PolarizedAmplitude, kind: str, axis_deg: float) -> PolarizedAmplitude:
-    """Apply a wave plate with its fast axis at axis_deg.
-
-    "half" reflects the Jones vector about the axis; a plate at 45 degrees
-    swaps h and v.  "quarter_double_pass" is a quarter-wave plate traversed
-    out and back (mirror behind it), which acts as one half-wave plate.
+    The plate reflects the Jones vector about the axis; at 45 degrees it
+    swaps h and v.  A quarter-wave plate traversed out and back (mirror
+    behind it) acts the same way.
     """
-    if kind not in WAVEPLATE_KINDS:
-        raise ValueError(f"unknown waveplate kind {kind!r}")
     c2, s2 = cos_deg(2.0 * axis_deg), sin_deg(2.0 * axis_deg)
     return PolarizedAmplitude(c2 * amp.h + s2 * amp.v, s2 * amp.h - c2 * amp.v)

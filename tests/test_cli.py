@@ -372,6 +372,82 @@ def test_non_string_output_target_is_a_config_error(tmp_path, capsys):
     assert "dangling port" not in err and "echo-sum" not in err
 
 
+def _run_network(tmp_path, capsys, doc) -> str:
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "custom", "--param", f"config={config}"]) == 2
+    return capsys.readouterr().err
+
+
+def _offset_of_defect(err: str, defect: str) -> int:
+    # defects are joined by "; ", each followed by "(element at byte N)"
+    (part,) = [p for p in err.split("; ") if defect in p]
+    return int(part.split("(element at byte ")[1].split(")")[0])
+
+
+def test_defect_offsets_point_at_the_elements_own_id_entry(tmp_path, capsys):
+    # the source's id also appears as the "source" value, which comes first
+    doc = json.loads(MZ_JSON)
+    doc["elements"][0]["outputs"]["out"] = "ghost"
+    text = json.dumps(doc)
+    err = _run_network(tmp_path, capsys, doc)
+    offset = _offset_of_defect(err, "dangling port: L.out -> ghost")
+    assert text[offset:].startswith('"id": "L"')
+
+
+def test_cycle_defect_names_an_element_on_the_cycle(tmp_path, capsys):
+    doc = {"source": "L", "elements": [
+        {"id": "L", "kind": "source", "outputs": {"out": "D"}},
+        {"id": "D", "kind": "detector"},
+        {"id": "A", "kind": "mirror", "outputs": {"out": "B"}},
+        {"id": "B", "kind": "mirror", "outputs": {"out": "A"}},
+    ]}
+    text = json.dumps(doc)
+    err = _run_network(tmp_path, capsys, doc)
+    offset = _offset_of_defect(err, "cycle: network graph contains a cycle")
+    assert offset >= 0
+    assert text[offset:].startswith(('"id": "A"', '"id": "B"'))
+
+
+def test_network_wide_defect_prints_no_offset(tmp_path, capsys):
+    screen = {"bin_count": 5, "half_width": 2.0, "distance": 50.0, "offsets": {"in": 0.0}}
+    doc = {"source": "L", "elements": [{"id": "L", "kind": "source", "outputs": {"out": "scr"}},
+                                       {"id": "scr", "kind": "screen", "params": screen}]}
+    err = _run_network(tmp_path, capsys, doc)
+    assert "echo-sum: " in err
+    assert "byte" not in err
+
+
+@pytest.mark.parametrize("calibrate, sweeps", [(False, 1), (True, 2)])
+def test_custom_run_sweeps_each_network_once(tmp_path, monkeypatch, calibrate, sweeps):
+    # parse_config validates; the echo table reuses that report, and a
+    # calibrated network is a new object with one sweep of its own
+    from hqs import network
+
+    calls = []
+    real = network._sweep
+    monkeypatch.setattr(network, "_sweep", lambda net: calls.append(net) or real(net))
+    doc = dict(json.loads(MZ_JSON), calibrate_emission=calibrate)
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "custom", "--param", f"config={config}", "--events", "100",
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == sweeps
+
+
+NON_FINITE_RUNS = [("afshar", "wire_width", "nan"), ("two_slit", "d", "inf"), ("two_slit", "bin_count", "Infinity")]
+
+
+@pytest.mark.parametrize("experiment, key, value", NON_FINITE_RUNS)
+def test_non_finite_run_parameters_are_config_errors(tmp_path, capsys, experiment, key, value):
+    assert main(["run", experiment, "--param", f"{key}={value}"]) == 2
+    assert f"bad value for {key!r}" in capsys.readouterr().err
+    # the same value from a JSON run description
+    literal = {"nan": "NaN", "inf": "Infinity"}.get(value, value)
+    with pytest.raises(ConfigError, match=f"bad value for {key!r}"):
+        parse_config(f'{{"experiment": "{experiment}", "parameters": {{"{key}": {literal}}}}}')
+
+
 @pytest.mark.parametrize(
     "params, code",
     [(["d=0.6", "L=3"], 0), (["d=0.4"], 2), (["d=-20"], 2), (["d=-20", "half_width=30"], 0)],

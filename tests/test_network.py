@@ -9,22 +9,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqs.network import (
-    DEFAULT_PATH_CAP,
     ECHO_SUM_TOL,
     EchoTable,
     Element,
     OpticalNetwork,
+    _default_in_port,
+    _scatter,
     calibrated,
-    echo_table,
     network_echo_table,
-    propagate_offers,
     run_events,
     sample_counts,
     select_transaction,
     validate,
 )
 from hqs.rng import RandomStream
-from hqs.wavecore import VERTICAL, PolarizedAmplitude, born_echo
+from hqs.wavecore import PolarizedAmplitude, born_echo
+
+
+def list_routes(network: OpticalNetwork) -> dict:
+    """Absorber id -> the amplitude of every source-to-absorber route of a
+    valid network, listed depth first through the element physics alone:
+    the reference the one-pass sweep is checked against."""
+    routes: dict = {}
+    stack = [(network.element(network.source_id), "", network.emission)]
+    while stack:
+        elem, in_port, amp = stack.pop()
+        for target, out in _scatter(elem, in_port, amp):
+            if isinstance(target, str):
+                routes.setdefault(target, []).append(out)
+            else:
+                nxt = network.element(target[0])
+                stack.append((nxt, target[1] or _default_in_port(nxt.kind), out))
+    return routes
 
 
 def balanced_mz(blocked: bool = False) -> OpticalNetwork:
@@ -51,16 +67,13 @@ def test_valid_mz_reports_clean():
 
 
 def test_offer_paths_carry_the_expected_amplitudes():
-    paths = propagate_offers(balanced_mz())
-    by_absorber = {}
-    for p in paths:
-        by_absorber.setdefault(p.absorber, []).append(p)
+    by_absorber = list_routes(balanced_mz())
     # two routes to each detector, i/2 each toward D1, +-1/2 toward D2
-    d1 = [p.amplitude.v for p in by_absorber["D1"]]
+    d1 = [amp.v for amp in by_absorber["D1"]]
     assert len(d1) == 2
     for v in d1:
         assert v == pytest.approx(0.5j)
-    d2 = sorted(p.amplitude.v.real for p in by_absorber["D2"])
+    d2 = sorted(amp.v.real for amp in by_absorber["D2"])
     assert d2[0] == pytest.approx(-0.5)
     assert d2[1] == pytest.approx(0.5)
 
@@ -138,6 +151,24 @@ def test_cycle_detected():
     assert "cycle" in _defect_kinds(net)
 
 
+def test_defects_name_their_element():
+    # D is never visited either: it waits on the S-M loop without being on it
+    cycle = OpticalNetwork(
+        (
+            Element("L", "source", outputs={"out": "S:a"}),
+            Element("S", "beamsplitter", outputs={"out1": "D", "out2": "M"}),
+            Element("M", "mirror", outputs={"out": "S:b"}),
+            Element("D", "detector"),
+        ),
+        "L",
+    )
+    named = {d.kind: d.element for d in validate(cycle).defects}
+    assert list(named) == ["cycle"] and named["cycle"] in ("S", "M")
+    dangling = OpticalNetwork((Element("L", "source", outputs={"out": "ghost"}),), "L")
+    named = {d.kind: d.element for d in validate(dangling).defects}
+    assert named == {"dangling port": "L", "echo-sum": None}
+
+
 def test_unreachable_absorber_detected():
     net = OpticalNetwork(
         (
@@ -198,11 +229,8 @@ def test_uncalibrated_screen_flagged_as_echo_sum_defect():
     assert report.echo_sum == pytest.approx(1.0, abs=1e-9)
 
 
-def test_path_cap_overflow_raises():
-    with pytest.raises(ValueError, match="path explosion"):
-        propagate_offers(balanced_mz(), path_cap=3)
-    # and the default cap is untroubled by a 4-path interferometer
-    assert len(propagate_offers(balanced_mz(), path_cap=DEFAULT_PATH_CAP)) == 4
+def test_balanced_mz_has_four_routes():
+    assert sum(len(amps) for amps in list_routes(balanced_mz()).values()) == 4
 
 
 def test_echo_table_keeps_zero_entries_and_sorts_ids():
@@ -309,10 +337,10 @@ def test_phase_segment_changes_nothing_but_phase():
         ),
         "L",
     )
-    paths = propagate_offers(net)
-    assert len(paths) == 1
-    assert paths[0].amplitude.norm_sq() == pytest.approx(1.0)
-    assert paths[0].accumulated_length == pytest.approx(0.37)
+    routes = list_routes(net)
+    assert list(routes) == ["D"] and len(routes["D"]) == 1
+    assert routes["D"][0].norm_sq() == pytest.approx(1.0)
+    assert routes["D"][0].v == pytest.approx(complex(math.cos(math.tau * 0.37), math.sin(math.tau * 0.37)))
     assert network_echo_table(net).entries["D"] == pytest.approx(1.0)
 
 
@@ -400,13 +428,11 @@ def test_sweep_conserves_echo_and_matches_the_route_sum(net):
     report = validate(net)
     assert report.ok, report.defects
     assert abs(report.echo_sum - 1.0) <= ECHO_SUM_TOL
-    routes = {}
-    for p in propagate_offers(net):
-        routes.setdefault(p.absorber, []).append(p)
+    routes = list_routes(net)
     table = network_echo_table(net).entries
     assert sorted(table) == sorted(routes)
-    for aid, paths in routes.items():
-        assert abs(table[aid] - born_echo(paths)) <= 1e-12, aid
+    for aid, amps in routes.items():
+        assert abs(table[aid] - born_echo(amps)) <= 1e-12, aid
 
 
 def test_twenty_splitter_chain_is_accepted_quickly():
