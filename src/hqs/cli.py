@@ -26,6 +26,8 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import mead
 from .experiments.registry import EXPERIMENTS, Param, RunResult
@@ -49,13 +51,24 @@ class RunSpec:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS and self.experiment != "custom":
+        if not isinstance(self.experiment, str) or self.experiment not in (*EXPERIMENTS, "custom"):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        # a JSON run description can carry any JSON value in these fields
+        if self.n is not None and not _is_int(self.n):
+            raise ConfigError(f"n must be an integer, not {self.n!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, not {self.seed!r}")
         if self.n is not None and self.n < 1:
             raise ConfigError("n must be >= 1")
+        if not isinstance(self.parameters, dict):
+            raise ConfigError("parameters must be a JSON object")
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
         object.__setattr__(self, "parameters", _coerced_params(self.experiment, self.parameters))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _coerced_params(experiment: str, given: dict) -> dict:
@@ -111,7 +124,7 @@ def parse_config(text: str):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON at byte {exc.pos}: {exc.msg}") from None
+        raise ConfigError(f"malformed JSON at byte {_byte_offset(text, exc.pos)}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ConfigError("top-level JSON must be an object")
     if "elements" in doc:
@@ -128,63 +141,99 @@ def parse_config(text: str):
     raise ConfigError("JSON must contain either 'experiment' or 'elements'")
 
 
-_ID_ENTRY = re.compile(r'"id"\s*:\s*("(?:[^"\\]|\\.)*")')
+_WS = re.compile(r"[ \t\n\r]*")
+
+
+def _byte_offset(text: str, i: int) -> int:
+    return len(text[:i].encode("utf-8", "surrogatepass"))
+
+
+def _id_offsets(text: str) -> list:
+    """Byte offset of the "id" key of each entry of a network document's
+    "elements" array, or None for an entry without one.
+
+    Walks the document's own structure, so an "id" key inside params or
+    outputs, or at the top level, is never taken for an element's.  Only
+    error messages read these offsets, so a valid network never pays for
+    this second pass over the text.
+    """
+    skip = lambda i: _WS.match(text, i).end()
+    value_end = lambda i: json.JSONDecoder().raw_decode(text, i)[1]
+
+    def members(i):
+        # text[i] opens an object or array; yields (key, key offset, value offset)
+        close = "}" if text[i] == "{" else "]"
+        i = skip(i + 1)
+        while text[i] != close:
+            key, at = None, i
+            if close == "}":
+                key, i = scanstring(text, i + 1)
+                i = skip(skip(i) + 1)  # past the colon
+            yield key, at, i
+            i = skip(value_end(i))
+            if text[i] == ",":
+                i = skip(i + 1)
+
+    # json.loads keeps the last of repeated keys, and so does this
+    elements = [at for key, _, at in members(skip(0)) if key == "elements"][-1]
+    own = []
+    for _, _, at in members(elements):
+        ids = [key_at for key, key_at, _ in members(at) if key == "id"] if text[at] == "{" else []
+        own.append(_byte_offset(text, ids[-1]) if ids else None)
+    return own
 
 
 def _parse_network(doc: dict, text: str) -> OpticalNetwork:
     from .network import KINDS
 
-    if not isinstance(doc["elements"], list):
+    entries = doc["elements"]
+    if not isinstance(entries, list):
         raise ConfigError("'elements' must be a JSON array")
+
+    def where(i: int) -> str:
+        return f"element {entries[i]['id']!r} at byte {_id_offsets(text)[i]}"
+
     elements = []
-    # byte offset of each element's own "id": "<id>" entry; elements appear
-    # in document order, so each search starts after the previous match
-    offsets: dict[str, int] = {}
-    searched_to = 0
-    for entry in doc["elements"]:
-        try:
-            elem_id = entry["id"]
-            kind = entry["kind"]
-        except (KeyError, TypeError):
-            raise ConfigError("every element needs an id and a kind") from None
-        offset = None
-        if isinstance(elem_id, str):
-            for m in _ID_ENTRY.finditer(text, searched_to):
-                if json.loads(m.group(1)) == elem_id:
-                    offset = offsets.setdefault(elem_id, m.start())
-                    searched_to = m.end()
-                    break
-        where = f"element {elem_id!r}" + ("" if offset is None else f" at byte {offset}")
-        if kind not in KINDS:
-            raise ConfigError(f"{where}: unknown kind {kind!r}")
-        for key in ("params", "outputs"):
-            if not isinstance(entry.get(key, {}), dict):
-                raise ConfigError(f"{where}: {key} must be a JSON object")
-        outputs = entry.get("outputs", {})
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
+            raise ConfigError(f"every element needs an id and a kind; elements[{i}] does not")
+        elem_id, kind = entry["id"], entry["kind"]
+        params, outputs = entry.get("params", {}), entry.get("outputs", {})
+        if not isinstance(elem_id, str):
+            raise ConfigError(f"{where(i)}: id must be a JSON string")
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise ConfigError(f"{where(i)}: unknown kind {kind!r}")
+        for key, value in (("params", params), ("outputs", outputs)):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where(i)}: {key} must be a JSON object")
         for port, target in outputs.items():
             if not isinstance(target, str):
-                raise ConfigError(f"{where}: output {port!r} must be a JSON string naming its target")
-        elements.append(
-            Element(str(elem_id), str(kind), dict(entry.get("params", {})), dict(outputs))
-        )
+                raise ConfigError(f"{where(i)}: output {port!r} must be a JSON string naming its target")
+        elements.append(Element(elem_id, kind, dict(params), dict(outputs)))
     try:
         source = doc["source"]
     except KeyError:
         raise ConfigError("network JSON needs a 'source' id") from None
-    emission = _parse_emission(doc.get("emission"))
-    network = OpticalNetwork(tuple(elements), str(source), emission)
-    report = validate(network)
-    hard = [d for d in report.defects if d.kind != "echo-sum" or not doc.get("calibrate_emission")]
-    if hard:
-        details = "; ".join(
-            f"{d} (element at byte {offsets[d.element]})" if d.element in offsets else str(d) for d in hard
-        )
-        raise ConfigError(f"invalid network: {details}")
-    if doc.get("calibrate_emission"):
-        try:
-            network = calibrated(network)
-        except ValueError as exc:
-            raise ConfigError(f"cannot calibrate emission: {exc}") from None
+    network = OpticalNetwork(tuple(elements), str(source), _parse_emission(doc.get("emission")))
+    calibrate = doc.get("calibrate_emission")
+    try:
+        hard = [d for d in validate(network).defects if d.kind != "echo-sum" or not calibrate]
+        if hard:
+            offset_of = {}  # a repeated id points at its first element
+            for elem, offset in zip(elements, _id_offsets(text)):
+                offset_of.setdefault(elem.id, offset)
+            details = "; ".join(
+                f"{d} (element at byte {offset_of[d.element]})" if d.element in offset_of else str(d)
+                for d in hard
+            )
+            raise ConfigError(f"invalid network: {details}")
+        if calibrate:
+            try:
+                network = calibrated(network)
+            except ValueError as exc:
+                raise ConfigError(f"cannot calibrate emission: {exc}") from None
+    except OverflowError as exc:
+        raise ConfigError(f"bad emission: its echoes overflow ({exc})") from None
     return network
 
 
@@ -235,15 +284,96 @@ def build_envelope(spec: RunSpec, result: RunResult) -> dict:
     return envelope
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    # json's key rules, in json's order
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return f'"{_float_text(key)}"'
+    if key is True or key is False or key is None:
+        return {True: '"true"', False: '"false"', None: '"null"'}[key]
+    if isinstance(key, int):
+        return f'"{int.__repr__(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), character for character.
+
+    Each container is built by one str.join.  Exact types are dispatched
+    first; anything else falls back to json's isinstance order, so float
+    and str subclasses (np.float64 among them) encode as json encodes them,
+    and unsupported types raise TypeError.  Nonzero float reprs are
+    memoised for this call: envelopes repeat their values many times.
+    """
+    floats = {}
+
+    def text(o, pad):
+        t = type(o)
+        if t is float:
+            s = floats.get(o)
+            if s is None:
+                s = _float_text(o)
+                if o:  # 0.0 and -0.0 hash alike but print differently
+                    floats[o] = s
+            return s
+        if t is str:
+            return _quote(o)
+        if t is int:
+            return int.__repr__(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if t is not dict and t is not list:
+            if isinstance(o, str):
+                return _quote(o)
+            if isinstance(o, int):
+                return int.__repr__(o)
+            if isinstance(o, float):
+                return _float_text(o)
+            if isinstance(o, (list, tuple)):
+                t = list
+            elif isinstance(o, dict):
+                t = dict
+            else:
+                raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        if not o:
+            return "[]" if t is list else "{}"
+        inner = pad + "  "
+        if t is list:
+            return "[" + inner + ("," + inner).join([text(v, inner) for v in o]) + pad + "]"
+        items = [(_quote(k) if type(k) is str else _key_text(k)) + ": " + text(v, inner)
+                 for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+    return text(obj, "\n")
+
+
 def emit_results(envelope: dict, output_format: str = "json") -> bytes:
     """Serialize an envelope deterministically.
 
     JSON comes out stable-key-ordered; CSV is the per-outcome check table.
     Wall-clock timing never enters the byte stream, so re-emitting the
     same envelope is byte-identical.
+
+    JSON is written by _dumps, not json.dumps: before Python 3.13,
+    json.dumps with indent runs its pure-Python encoder, which took as long
+    as the run itself on envelopes of thousands of absorbers.  _dumps
+    writes the same bytes in about half the time.
     """
     if output_format == "json":
-        return (json.dumps(envelope, sort_keys=True, indent=2) + "\n").encode()
+        return (_dumps(envelope) + "\n").encode()
     if output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -276,7 +406,7 @@ def _run_custom(spec: RunSpec) -> RunResult:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     network = parse_config(text)
     if not isinstance(network, OpticalNetwork):
@@ -457,7 +587,7 @@ def _dynamics_compete(params, args) -> int:
         "win_fractions": result["win_fractions"],
         "seed": seed,
     }
-    _write_output((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode(), args.out)
+    _write_output((_dumps(payload) + "\n").encode(), args.out)
     return 0
 
 

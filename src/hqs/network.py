@@ -452,7 +452,11 @@ def calibrated(network: OpticalNetwork) -> OpticalNetwork:
     total = report.echo_sum
     if total is None or total <= 0:
         raise ValueError("network has no absorbed amplitude to calibrate")
-    return replace(network, emission=network.emission * (1.0 / math.sqrt(total)))
+    out = replace(network, emission=network.emission * (1.0 / math.sqrt(total)))
+    # an echo total near the float floor cannot be rescaled to one
+    if not validate(out).ok:
+        raise _invalid(validate(out).defects)
+    return out
 
 
 def _pick(cum: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -496,3 +496,82 @@ def test_runtime_never_imports_scipy():
         [sys.executable, "-c", NO_SCIPY_CHILD], capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", '"5"'), ("n", "5.5"), ("n", "true"), ("seed", '"5"'), ("seed", "1.5")]
+)
+def test_non_integer_n_or_seed_is_a_config_error_naming_it(tmp_path, capsys, field, value):
+    config = tmp_path / "spec.json"
+    config.write_text(f'{{"experiment": "mz", "{field}": {value}}}')
+    assert main(["run", "custom", "--param", f"config={config}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be an integer" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("doc", ['{"experiment": ["mz"]}', '{"experiment": "mz", "parameters": [1]}'])
+def test_run_description_field_types_are_config_errors(doc):
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
+def test_kind_that_is_not_a_string_is_a_config_error(tmp_path, capsys):
+    doc = json.loads(MZ_JSON)
+    doc["elements"][2]["kind"] = ["mirror"]
+    err = _run_network(tmp_path, capsys, doc)
+    assert "element 'A' at byte" in err and "unknown kind ['mirror']" in err
+
+
+def test_id_that_is_not_a_string_is_a_config_error(tmp_path, capsys):
+    doc = json.loads(MZ_JSON)
+    doc["elements"][5]["id"] = 5
+    text = json.dumps(doc)
+    err = _run_network(tmp_path, capsys, doc)
+    assert "id must be a JSON string" in err
+    offset = int(err.split("at byte ")[1].split(":")[0])
+    assert text[offset:].startswith('"id": 5')
+
+
+@pytest.mark.parametrize("box", ["params", "outputs"])
+def test_an_id_key_inside_params_or_outputs_is_not_the_elements_own(tmp_path, capsys, box):
+    # L's params or outputs carry "id": "S1" ahead of S1's own entry
+    doc = json.loads(MZ_JSON)
+    doc["elements"][0][box] = dict(doc["elements"][0].get(box, {}), id="S1")
+    doc["elements"][1]["outputs"]["out1"] = "ghost"
+    text = json.dumps(doc)
+    err = _run_network(tmp_path, capsys, doc)
+    offset = _offset_of_defect(err, "S1.out1 -> ghost")
+    assert text[offset:].startswith('"id": "S1", "kind": "beamsplitter"')
+
+
+def test_offsets_count_bytes_not_characters(tmp_path, capsys):
+    doc = json.loads(MZ_JSON.replace('"B"', '"Bü"').replace('"D2"', '"D☃"'))
+    doc["elements"][-1]["outputs"] = {"out": "D1"}
+    config = tmp_path / "net.json"
+    config.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert main(["run", "custom", "--param", f"config={config}"]) == 2
+    offset = _offset_of_defect(capsys.readouterr().err, "terminal D☃ has outputs")
+    assert config.read_bytes()[offset:].startswith('"id": "D☃"'.encode())
+
+
+@pytest.mark.parametrize("emission", [1e-160, 3e-162], ids=["1e-160", "3e-162"])
+def test_an_emission_too_weak_to_calibrate_is_a_config_error(tmp_path, capsys, emission):
+    doc = dict(json.loads(MZ_JSON), emission={"v": [emission, 0]}, calibrate_emission=True)
+    err = _run_network(tmp_path, capsys, doc)
+    assert "cannot calibrate emission" in err and "internal error" not in err
+
+
+def test_an_emission_whose_echoes_overflow_is_a_config_error(tmp_path, capsys):
+    screen = {"bin_count": 5, "half_width": 2.0, "distance": 50.0, "offsets": {"in": 0.0}}
+    doc = {"source": "L", "emission": {"v": [1e154, 0]}, "calibrate_emission": True, "elements": [
+        {"id": "L", "kind": "source", "outputs": {"out": "scr"}},
+        {"id": "scr", "kind": "screen", "params": screen}]}
+    err = _run_network(tmp_path, capsys, doc)
+    assert "bad emission: its echoes overflow" in err
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "net.json"
+    config.write_bytes(MZ_JSON.replace('"A"', '"\xff"').encode("latin-1"))
+    assert main(["run", "custom", "--param", f"config={config}"]) == 2
+    assert "cannot read" in capsys.readouterr().err

@@ -1,0 +1,193 @@
+"""Mutated network documents through `hqs run custom`: never an internal
+error, and every offset printed points at the named element's own "id"."""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import re
+import tempfile
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hqs import cli
+
+MZ = {
+    "source": "L",
+    "elements": [
+        {"id": "L", "kind": "source", "outputs": {"out": "S1:a"}},
+        {"id": "S1", "kind": "beamsplitter", "outputs": {"out1": "A", "out2": "B"}},
+        {"id": "A", "kind": "mirror", "outputs": {"out": "S2:a"}},
+        {"id": "B", "kind": "mirror", "outputs": {"out": "S2:b"}},
+        {"id": "S2", "kind": "beamsplitter", "outputs": {"out1": "D2", "out2": "D1"}},
+        {"id": "D1", "kind": "detector"},
+        {"id": "D2", "kind": "detector"},
+    ],
+}
+SCREEN = {
+    "source": "L",
+    "calibrate_emission": True,
+    "elements": [
+        {"id": "L", "kind": "source", "outputs": {"out": "P"}},
+        {"id": "P", "kind": "phase_segment", "params": {"length": 0.25}, "outputs": {"out": "H"}},
+        {"id": "H", "kind": "halfwave_plate", "params": {"axis": 22.5}, "outputs": {"out": "pol"}},
+        {"id": "pol", "kind": "polarizer", "params": {"axis": 0.0}, "outputs": {"out": "scr"}},
+        {"id": "scr", "kind": "screen",
+         "params": {"bin_count": 5, "half_width": 2.0, "distance": 50.0, "offsets": {"in": 0.0}}},
+    ],
+}
+IDS = sorted({e["id"] for doc in (MZ, SCREEN) for e in doc["elements"]})
+WORDS = IDS + ["ghost", "S2:b", "S2:c", "scr:in", "", "id", "in", "out", "out1", "a",
+               "mirror", "detector", "screen", "source", "beamsplitter", "length", "axis", "offsets"]
+# ids that json.dumps escapes, or that need escaping or are not ASCII
+ODD_IDS = ['S"1', "D\\2", "Dü", "☃", "a b", "id"]
+NUMBERS = [0, 1, 2, 3, -1, 7, 0.5, -2.0, 1e-160, 1e154, 1e308, float("nan"), float("inf"), True, False, None]
+# small values only: a screen's bin_count sets how many bins it lays out
+junk = st.recursive(
+    st.sampled_from(NUMBERS) | st.sampled_from(WORDS),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(WORDS), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(draw, doc):
+    elements = doc["elements"]
+    i = draw(st.integers(0, len(elements) - 1)) if elements else None
+    entry = elements[i] if elements else None
+    op = draw(st.sampled_from(["entry", "key", "drop_key", "param", "output", "decoy", "rename",
+                               "duplicate", "drop", "top"]))
+    if op == "top":
+        doc[draw(st.sampled_from(["source", "emission", "calibrate_emission", "id"]))] = draw(
+            junk | st.fixed_dictionaries({"v": st.lists(st.sampled_from(NUMBERS), max_size=3)}))
+    elif entry is None:
+        elements.append(draw(junk))
+    elif op == "entry":
+        elements[i] = draw(junk)
+    elif op == "duplicate":
+        elements.insert(draw(st.integers(0, len(elements))), copy.deepcopy(entry))
+    elif op == "drop":
+        del elements[i]
+    elif not isinstance(entry, dict):
+        elements[i] = {"id": draw(st.sampled_from(IDS)), "kind": draw(st.sampled_from(WORDS))}
+    elif op == "key":
+        entry[draw(st.sampled_from(["id", "kind", "params", "outputs"]))] = draw(junk)
+    elif op == "drop_key":
+        entry.pop(draw(st.sampled_from(["id", "kind", "params", "outputs"])), None)
+    elif op == "rename" and isinstance(entry.get("id"), str):
+        old, new = entry["id"], draw(st.sampled_from(ODD_IDS))
+        entry["id"] = new
+        for other in elements:
+            outputs = other.get("outputs") if isinstance(other, dict) else None
+            if isinstance(outputs, dict):
+                for port, target in outputs.items():
+                    if isinstance(target, str) and target.partition(":")[0] == old:
+                        outputs[port] = new + target[len(old):]
+        if doc.get("source") == old:
+            doc["source"] = new
+    else:
+        # "param", "output", "decoy" (and "rename" of an element whose id is
+        # not a string) write into params or outputs; a decoy is an "id" key
+        # there naming another element
+        key = "outputs" if op == "output" else draw(st.sampled_from(["params", "outputs"]))
+        box = entry.setdefault(key, {})
+        if isinstance(box, dict):
+            name = "id" if op == "decoy" else draw(st.sampled_from(WORDS))
+            box[name] = draw(st.sampled_from(IDS)) if op == "decoy" else draw(junk)
+
+
+def _layout(doc, item_sep=", ", key_sep=": ", ascii_only=True, order=list):
+    """(text, own) for doc: own[i] is the byte offset of element i's own
+    "id" key, or None where element i has none.  order permutes each
+    object's keys."""
+    dump = lambda value: json.dumps(value, separators=(item_sep, key_sep), ensure_ascii=ascii_only)
+    text, own = "{", []
+    for n, key in enumerate(order(list(doc))):
+        text += (item_sep if n else "") + dump(key) + key_sep
+        if key != "elements" or not isinstance(doc[key], list):
+            text += dump(doc[key])
+            continue
+        text += "["
+        for m, entry in enumerate(doc[key]):
+            text += item_sep if m else ""
+            if not isinstance(entry, dict):
+                text += dump(entry)
+                own.append(None)
+                continue
+            at = None
+            text += "{"
+            for k, name in enumerate(order(list(entry))):
+                text += item_sep if k else ""
+                if name == "id":
+                    at = len(text.encode())
+                text += dump(name) + key_sep + dump(entry[name])
+            text += "}"
+            own.append(at)
+        text += "]"
+    return text + "}", own
+
+
+@st.composite
+def network_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from([MZ, SCREEN])))
+    for _ in range(draw(st.integers(1, 3))):
+        _mutate(draw, doc)
+    return _layout(
+        doc,
+        item_sep=draw(st.sampled_from([", ", ",", ",\n  "])),
+        key_sep=draw(st.sampled_from([": ", ":", " :\t"])),
+        ascii_only=draw(st.booleans()),
+        order=lambda keys: draw(st.permutations(keys)),
+    )
+
+
+def _run(text: str):
+    """Exit code, stderr, and the reports validate returned."""
+    reports = []
+    real = cli.validate
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with mock.patch.object(cli, "validate", lambda net: reports.append(real(net)) or reports[-1]), \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "custom", "--param", f"config={path}", "--events", "50"])
+    return code, err.getvalue(), reports
+
+
+def _check(text: str, own: list) -> int:
+    raw = text.encode()
+    doc = json.loads(text)
+    code, err, reports = _run(text)
+    assert code in (0, 2), err
+    if code == 0:
+        return code
+    elements = doc["elements"] if isinstance(doc.get("elements"), list) else []
+    ids = [e.get("id") if isinstance(e, dict) else None for e in elements]
+
+    def owned_by(elem_id) -> set:
+        return {own[i] for i, e in enumerate(ids) if e == elem_id}
+
+    # an error about one element names it by repr, then gives the offset
+    # of that element's own "id" key
+    named = re.match(r"config error: element (.*?) at byte (\d+): ", err)
+    if named:
+        offset = int(named.group(2))
+        assert raw[offset:].startswith(b'"id"'), err
+        assert offset in {own[i] for i, e in enumerate(ids) if repr(e) == named.group(1)}, err
+    # and every defect about an element of the document carries one
+    for report in reports:
+        for defect in report.defects:
+            if defect.element in ids and str(defect) in err:
+                found = re.findall(re.escape(f"{defect} (element at byte ") + r"(\d+)\)", err)
+                assert found and {int(o) for o in found} <= owned_by(defect.element), err
+    return code
+
+
+@given(network_documents())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_networks_exit_0_or_2_and_point_at_their_element(document):
+    _check(*document)
