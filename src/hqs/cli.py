@@ -5,7 +5,7 @@ Subcommands:
 * run <experiment>       one experiment, JSON envelope (or CSV table)
 * scan <experiment>      sweep one parameter over start:stop:count, CSV rows
 * dynamics <model>       avalanche trajectory, absorber competition, field map
-* list                   registered experiments and their parameter schemas
+* list                   experiments, dynamics models and their parameter tables
 
 Exit codes: 0 success, 2 configuration error, 1 internal error.
 
@@ -30,7 +30,7 @@ from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import mead
-from .experiments.registry import EXPERIMENTS, Param, RunResult
+from .experiments.registry import EXPERIMENTS, Experiment, Param, RunResult
 from .network import Element, OpticalNetwork, calibrated, network_echo_table, sample_counts, validate
 from .wavecore import PolarizedAmplitude
 
@@ -39,6 +39,17 @@ SIGMA_FACTOR = 4.0
 
 class ConfigError(ValueError):
     """Bad run description; maps to exit code 2."""
+
+
+# the fields of a JSON run description, each a RunSpec field
+RUN_FIELDS = {
+    "experiment": Param(str, None, "a registered experiment, or custom"),
+    "parameters": Param(dict, {}, "the experiment's parameters"),
+    "n": Param(int, None, "Monte Carlo events; null for analytic only"),
+    "seed": Param(int, 0, "run seed"),
+    "output_format": Param(str, "json", "json or csv"),
+    "output_path": Param(str, None, "output file; never part of the payload"),
+}
 
 
 @dataclass(frozen=True)
@@ -51,68 +62,80 @@ class RunSpec:
     output_path: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.experiment, str) or self.experiment not in (*EXPERIMENTS, "custom"):
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
         # a JSON run description can carry any JSON value in these fields
-        if self.n is not None and not _is_int(self.n):
-            raise ConfigError(f"n must be an integer, not {self.n!r}")
-        if not _is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, not {self.seed!r}")
+        for name, value in _read(RUN_FIELDS, vars(self), "the run description").items():
+            object.__setattr__(self, name, value)
+        if self.experiment not in RUNS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.n is not None and self.n < 1:
             raise ConfigError("n must be >= 1")
-        if not isinstance(self.parameters, dict):
-            raise ConfigError("parameters must be a JSON object")
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
-        object.__setattr__(self, "parameters", _coerced_params(self.experiment, self.parameters))
+        params = _read(RUNS[self.experiment].params, self.parameters, self.experiment)
+        object.__setattr__(self, "parameters", params)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_KIND_TEXT = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
+              dict: "a JSON object", list: "a JSON array"}
 
 
-def _coerced_params(experiment: str, given: dict) -> dict:
-    if experiment == "custom":
-        known = {"config": Param(str, None, "network JSON path")}
-    else:
-        known = EXPERIMENTS[experiment].params
+def _kind_name(p: Param) -> str:
+    return p.kind.__name__ + "".join(f"[{n or ''}]" for n in p.shape)
+
+
+def _read(schema: dict, given: dict, owner: str) -> dict:
+    """given, checked against schema, with every absent key at its default.
+
+    The one reader of config values.  Each key must be in schema and each
+    value of its Param's JSON type: bool only for bool, an int or integral
+    float for int, a finite number other than a bool for float, and for a
+    Param with a shape, nested arrays of that shape or the --param form
+    a,b,c filled row by row.  null is taken only where the default is
+    null.  Ranges are checked by the code that uses the values.
+    """
+    for key in given:
+        if key not in schema:
+            raise ConfigError(f"unknown parameter {key!r} for {owner}")
     out = {}
-    for key, value in given.items():
-        if key not in known:
-            raise ConfigError(f"unknown parameter {key!r} for {experiment}")
-        out[key] = _coerce(known[key], key, value)
-    for key, spec in known.items():
-        out.setdefault(key, spec.default)
+    for key, p in schema.items():
+        value = given.get(key, p.default)
+        if key not in given or value is None and p.default is None:
+            out[key] = value
+            continue
+        try:
+            if p.shape and isinstance(value, str):
+                value = [float(v) for v in value.split(",")]
+                for size in reversed(p.shape[1:]):
+                    value = [value[i:i + size] for i in range(0, len(value), size)]
+            out[key] = _nested(p.kind, p.shape, value) if p.shape else _typed(p.kind, value)
+        except (ValueError, OverflowError):
+            what = f"{_kind_name(p)} (a JSON array, or a,b,c)" if p.shape else _KIND_TEXT[p.kind]
+            raise ConfigError(f"bad value for {key!r} of {owner}: {key} must be {what}, not {given[key]!r}") from None
     return out
 
 
-def _coerce(spec: Param, key: str, value):
-    if value is None:
-        return None
-    try:
-        if spec.kind is bool:
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str) and value.lower() in ("true", "false", "1", "0"):
-                return value.lower() in ("true", "1")
-            raise ValueError(value)
-        value = spec.kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    if spec.kind is float and not math.isfinite(value):
-        raise ConfigError(f"bad value for {key!r}: {value} is not finite")
-    return value
+def _typed(kind: type, value):
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = float(value)
+        if math.isfinite(value):
+            return value
+    elif kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ValueError(value)
+
+
+def _nested(kind: type, shape: tuple, value) -> tuple:
+    if not isinstance(value, (list, tuple)) or shape[0] not in (None, len(value)):
+        raise ValueError(value)
+    return tuple(_nested(kind, shape[1:], v) if shape[1:] else _typed(kind, v) for v in value)
 
 
 def spec_to_dict(spec: RunSpec) -> dict:
     # output_path stays out: the payload must not depend on where it lands
-    return {
-        "experiment": spec.experiment,
-        "parameters": dict(spec.parameters),
-        "n": spec.n,
-        "seed": spec.seed,
-        "output_format": spec.output_format,
-    }
+    fields = {name: getattr(spec, name) for name in RUN_FIELDS if name != "output_path"}
+    return dict(fields, parameters=dict(spec.parameters))
 
 
 def parse_config(text: str):
@@ -130,14 +153,7 @@ def parse_config(text: str):
     if "elements" in doc:
         return _parse_network(doc, text)
     if "experiment" in doc:
-        return RunSpec(
-            experiment=doc["experiment"],
-            parameters=doc.get("parameters", {}),
-            n=doc.get("n"),
-            seed=doc.get("seed", 0),
-            output_format=doc.get("output_format", "json"),
-            output_path=doc.get("output_path"),
-        )
+        return RunSpec(**_read(RUN_FIELDS, doc, "the run description"))
     raise ConfigError("JSON must contain either 'experiment' or 'elements'")
 
 
@@ -183,12 +199,24 @@ def _id_offsets(text: str) -> list:
     return own
 
 
+# the keys of a network document, and of its emission
+NETWORK_FIELDS = {
+    "source": Param(str, None, "id of the source element"),
+    "elements": Param(list, [], "the elements, each with an id, a kind, params and outputs"),
+    "emission": Param(dict, {"v": (1.0, 0.0)}, "source amplitude {h, v}"),
+    "calibrate_emission": Param(bool, False, "rescale the emission to a unit echo total"),
+}
+EMISSION_FIELDS = {
+    "h": Param(float, (0.0, 0.0), "horizontal component [re, im]", shape=(2,)),
+    "v": Param(float, (0.0, 0.0), "vertical component [re, im]", shape=(2,)),
+}
+
+
 def _parse_network(doc: dict, text: str) -> OpticalNetwork:
     from .network import KINDS
 
-    entries = doc["elements"]
-    if not isinstance(entries, list):
-        raise ConfigError("'elements' must be a JSON array")
+    top = _read(NETWORK_FIELDS, doc, "the network document")
+    entries = top["elements"]
 
     def where(i: int) -> str:
         return f"element {entries[i]['id']!r} at byte {_id_offsets(text)[i]}"
@@ -210,12 +238,12 @@ def _parse_network(doc: dict, text: str) -> OpticalNetwork:
             if not isinstance(target, str):
                 raise ConfigError(f"{where(i)}: output {port!r} must be a JSON string naming its target")
         elements.append(Element(elem_id, kind, dict(params), dict(outputs)))
-    try:
-        source = doc["source"]
-    except KeyError:
-        raise ConfigError("network JSON needs a 'source' id") from None
-    network = OpticalNetwork(tuple(elements), str(source), _parse_emission(doc.get("emission")))
-    calibrate = doc.get("calibrate_emission")
+    if top["source"] is None:
+        raise ConfigError("network JSON needs a 'source' id")
+    emission = _read(EMISSION_FIELDS, top["emission"], "emission")
+    amplitude = PolarizedAmplitude(complex(*emission["h"]), complex(*emission["v"]))
+    network = OpticalNetwork(tuple(elements), top["source"], amplitude)
+    calibrate = top["calibrate_emission"]
     try:
         hard = [d for d in validate(network).defects if d.kind != "echo-sum" or not calibrate]
         if hard:
@@ -237,20 +265,9 @@ def _parse_network(doc: dict, text: str) -> OpticalNetwork:
     return network
 
 
-def _parse_emission(raw) -> PolarizedAmplitude:
-    if raw is None:
-        return PolarizedAmplitude(v=1.0 + 0j)
-    try:
-        h = complex(*raw["h"]) if "h" in raw else 0j
-        v = complex(*raw["v"]) if "v" in raw else 0j
-        return PolarizedAmplitude(h, v)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad emission: {exc!r}") from None
-
-
 def build_envelope(spec: RunSpec, result: RunResult) -> dict:
     """Self-checking result record: analytic values, sampled frequencies,
-    and a 4-sigma binomial pass flag per outcome."""
+    and a per-outcome Gaussian screen: a 4-sigma bound and pass flag."""
     entries = []
     empirical = None
     if result.counts is not None and result.n:
@@ -399,8 +416,8 @@ def _write_output(payload: bytes, path: str | None) -> None:
         sys.stdout.write(payload.decode())
 
 
-def _run_custom(spec: RunSpec) -> RunResult:
-    path = spec.parameters.get("config")
+def _run_custom(p, n, seed) -> RunResult:
+    path = p["config"]
     if not path:
         raise ConfigError("custom runs need --param config=<network.json>")
     try:
@@ -412,19 +429,26 @@ def _run_custom(spec: RunSpec) -> RunResult:
     if not isinstance(network, OpticalNetwork):
         raise ConfigError(f"{path} does not describe an optical network")
     table = network_echo_table(network)
-    counts = sample_counts(table, spec.n, spec.seed) if spec.n else None
-    return RunResult(dict(table.entries), counts, spec.n)
+    counts = sample_counts(table, n, seed) if n else None
+    return RunResult(dict(table.entries), counts, n)
+
+
+RUNS = {
+    **EXPERIMENTS,
+    "custom": Experiment(
+        "custom",
+        "run an optical network from JSON (--param config=<path>)",
+        {"config": Param(str, None, "path to a network description")},
+        _run_custom,
+    ),
+}
 
 
 def run_spec(spec: RunSpec) -> dict:
-    if spec.experiment == "custom":
-        result = _run_custom(spec)
-    else:
-        entry = EXPERIMENTS[spec.experiment]
-        try:
-            result = entry.run(spec.parameters, spec.n, spec.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    try:
+        result = RUNS[spec.experiment].run(spec.parameters, spec.n, spec.seed)
+    except ValueError as exc:  # ConfigError included
+        raise ConfigError(str(exc)) from None
     return build_envelope(spec, result)
 
 
@@ -461,8 +485,6 @@ def _parse_param_args(pairs) -> dict:
 
 def _parse_range(raw: str):
     parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"range wants start:stop:count, got {raw!r}")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
@@ -474,31 +496,16 @@ def _parse_range(raw: str):
 
 
 def _cmd_scan(args) -> int:
-    raw_params = {}
-    scanned = None
-    for raw in args.param or []:
-        if "=" not in raw:
-            raise ConfigError(f"--param wants key=value, got {raw!r}")
-        key, value = raw.split("=", 1)
-        if value.count(":") == 2:
-            if scanned is not None:
-                raise ConfigError("exactly one parameter may carry a start:stop:count range")
-            scanned = (key, _parse_range(value))
-        else:
-            try:
-                raw_params[key] = json.loads(value)
-            except json.JSONDecodeError:
-                raw_params[key] = value
-    if scanned is None:
-        raise ConfigError("scan needs one parameter with a start:stop:count range")
-    key, grid = scanned
+    params = _parse_param_args(args.param)
+    ranged = [key for key, value in params.items() if isinstance(value, str) and value.count(":") == 2]
+    if len(ranged) != 1:
+        raise ConfigError("scan needs exactly one parameter with a start:stop:count range")
+    key = ranged[0]
 
     started = time.perf_counter()
     rows = []
-    for value in grid:
-        params = dict(raw_params)
-        params[key] = value
-        spec = RunSpec(args.experiment, params, args.events, args.seed)
+    for value in _parse_range(params[key]):
+        spec = RunSpec(args.experiment, {**params, key: value}, args.events, args.seed)
         envelope = run_spec(spec)
         row = {key: value}
         for outcome, p in envelope["analytic"].items():
@@ -531,110 +538,91 @@ def _csv_cell(value):
     return value
 
 
-def _cmd_dynamics(args) -> int:
-    params = _parse_param_args(args.param)
-    handlers = {
-        "avalanche": _dynamics_avalanche,
-        "compete": _dynamics_compete,
-        "field": _dynamics_field,
-    }
-    if args.model not in handlers:
-        raise ConfigError(f"unknown dynamics model {args.model!r}")
-    if args.seed is not None and args.model != "compete":
-        raise ConfigError(f"dynamics {args.model} is deterministic and takes no --seed")
-    try:
-        return handlers[args.model](params, args)
-    except (ValueError, TypeError) as exc:
-        # model-level validation failures are user configuration errors
-        raise ConfigError(str(exc)) from None
-
-
-def _dynamics_avalanche(params, args) -> int:
-    allowed = {"k", "x0", "t_end", "dt", "omega"}
-    _reject_unknown(params, allowed, "avalanche")
-    k = float(params.get("k", 1.0))
-    config = mead.AvalancheConfig(
-        k=k,
-        x0=float(params.get("x0", 0.01)),
-        t_end=float(params.get("t_end", 20.0 / k)),
-        dt=float(params.get("dt", 0.005 / k)),
-        omega=float(params["omega"]) if "omega" in params else None,
-    )
-    states = mead.integrate_pair(config)
+def _dynamics_avalanche(p, args) -> int:
+    states = mead.integrate_pair(mead.AvalancheConfig(**p))
     mead.write_trajectory_csv(args.out or sys.stdout, states)
     print(f"avalanche: {len(states)} steps", file=sys.stderr)
     return 0
 
 
-def _dynamics_compete(params, args) -> int:
-    allowed = {"k_list", "x0_max", "trials", "dt"}
-    _reject_unknown(params, allowed, "compete")
+def _dynamics_compete(p, args) -> int:
     seed = 0 if args.seed is None else args.seed
-    k_list = params.get("k_list", [1.0, 1.0])
-    if isinstance(k_list, str):
-        k_list = [float(v) for v in k_list.split(",")]
-    result = mead.compete(
-        k_list,
-        float(params.get("x0_max", 0.01)),
-        int(params.get("trials", 1000)),
-        seed,
-        dt=float(params["dt"]) if "dt" in params else None,
-    )
-    payload = {
-        "k_list": result["k_list"],
-        "trials": result["trials"],
-        "win_counts": result["win_counts"],
-        "win_fractions": result["win_fractions"],
-        "seed": seed,
-    }
+    result = mead.compete(p["k_list"], p["x0_max"], p["trials"], seed, dt=p["dt"])
+    payload = dict({key: result[key] for key in ("k_list", "trials", "win_counts", "win_fractions")}, seed=seed)
     _write_output((_dumps(payload) + "\n").encode(), args.out)
     return 0
 
 
-def _dynamics_field(params, args) -> int:
-    allowed = {"x_emitter", "x_absorber", "omega", "t", "nx", "ny", "extent", "positions"}
-    _reject_unknown(params, allowed, "field")
-    grid = mead.FieldGrid(
-        nx=int(params.get("nx", 81)),
-        ny=int(params.get("ny", 81)),
-        extent=float(params.get("extent", 10.0)),
-    )
-    state = mead.AtomPairState(
-        t=float(params.get("t", 0.0)),
-        x_emitter=float(params.get("x_emitter", 0.5)),
-        x_absorber=float(params.get("x_absorber", 0.5)),
-    )
-    positions = params.get("positions", ((-2.0, 0.0), (2.0, 0.0)))
-    if isinstance(positions, str):
-        vals = [float(v) for v in positions.split(",")]
-        positions = ((vals[0], vals[1]), (vals[2], vals[3]))
-    elif isinstance(positions, list):
-        positions = ((positions[0][0], positions[0][1]), (positions[1][0], positions[1][1]))
-    field_matrix = mead.field_snapshot(
-        state, float(params.get("omega", 1.0e9)), state.t, grid, positions
-    )
+def _dynamics_field(p, args) -> int:
+    grid = mead.FieldGrid(p["nx"], p["ny"], p["extent"])
+    state = mead.AtomPairState(p["t"], p["x_emitter"], p["x_absorber"])
+    field_matrix = mead.field_snapshot(state, p["omega"], state.t, grid, p["positions"])
     mead.write_field_csv(args.out or sys.stdout, field_matrix, grid)
     return 0
 
 
-def _reject_unknown(params, allowed, model) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigError(f"unknown parameter {sorted(unknown)[0]!r} for dynamics {model}")
+DYNAMICS = {
+    "avalanche": Experiment(
+        "avalanche",
+        "one quantum passing from an emitter to an absorber; trajectory CSV",
+        {
+            "k": Param(float, 1.0, "coupling rate"),
+            "x0": Param(float, 0.01, "initial transfer"),
+            "t_end": Param(float, None, "integration time; default 20/k"),
+            "dt": Param(float, None, "RK4 step; default 0.005/k"),
+            "omega": Param(float, None, "beat frequency whose period dt must resolve"),
+        },
+        _dynamics_avalanche,
+    ),
+    "compete": Experiment(
+        "compete",
+        "absorbers racing for one quantum from random initial transfers; win counts JSON",
+        {
+            "k_list": Param(float, (1.0, 1.0), "coupling rate of each absorber", shape=(None,)),
+            "x0_max": Param(float, 0.01, "largest initial transfer"),
+            "trials": Param(int, 1000, "races run"),
+            "dt": Param(float, None, "RK4 step; default 0.02 / max(k_list)"),
+        },
+        _dynamics_compete,
+    ),
+    "field": Experiment(
+        "field",
+        "the pair's superposed dipole field on a square grid; CSV",
+        {
+            "x_emitter": Param(float, 0.5, "emitter excitation"),
+            "x_absorber": Param(float, 0.5, "absorber excitation"),
+            "omega": Param(float, 1.0e9, "dipole angular frequency"),
+            "t": Param(float, 0.0, "snapshot time"),
+            "nx": Param(int, 81, "grid points along x"),
+            "ny": Param(int, 81, "grid points along y"),
+            "extent": Param(float, 10.0, "grid half-width (m)"),
+            "positions": Param(float, ((-2.0, 0.0), (2.0, 0.0)), "emitter and absorber (x, y) in m",
+                               shape=(2, 2)),
+        },
+        _dynamics_field,
+    ),
+}
+
+
+def _cmd_dynamics(args) -> int:
+    model = DYNAMICS[args.model]
+    params = _read(model.params, _parse_param_args(args.param), f"dynamics {args.model}")
+    if args.seed is not None and args.model != "compete":
+        raise ConfigError(f"dynamics {args.model} is deterministic and takes no --seed")
+    try:
+        return model.run(params, args)
+    except ValueError as exc:
+        # model-level validation failures are user configuration errors
+        raise ConfigError(str(exc)) from None
 
 
 def _cmd_list(args) -> int:
     del args
-    for name in sorted(EXPERIMENTS):
-        entry = EXPERIMENTS[name]
-        print(f"{name}: {entry.description}")
-        for pname, p in entry.params.items():
-            print(f"    {pname} ({p.kind.__name__}, default {p.default!r}): {p.help}")
-    print("custom: run an optical network from JSON (--param config=<path>)")
-    print("    config (str): path to a network description")
-    print("dynamics models: avalanche (k, x0, t_end, dt, omega), "
-          "compete (k_list, x0_max, trials, dt), "
-          "field (x_emitter, x_absorber, omega, t, nx, ny, extent, positions)")
+    for prefix, table in (("", RUNS), ("dynamics ", DYNAMICS)):
+        for name, entry in sorted(table.items()):
+            print(f"{prefix}{name}: {entry.description}")
+            for pname, p in entry.params.items():
+                print(f"    {pname} ({_kind_name(p)}, default {p.default!r}): {p.help}")
     return 0
 
 
@@ -663,7 +651,7 @@ def main(argv=None) -> int:
     p_scan.set_defaults(func=_cmd_scan)
 
     p_dyn = sub.add_parser("dynamics", help="avalanche, compete, or field")
-    p_dyn.add_argument("model", choices=("avalanche", "compete", "field"))
+    p_dyn.add_argument("model", choices=tuple(DYNAMICS))
     p_dyn.add_argument("--param", action="append", metavar="KEY=VALUE")
     p_dyn.add_argument("--seed", type=int, default=None, help="compete only (default 0)")
     p_dyn.add_argument("--out", default=None)

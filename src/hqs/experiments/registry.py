@@ -11,9 +11,14 @@ from . import bubble, entangled, eraser, hardy, interferometer, slits
 
 @dataclass(frozen=True)
 class Param:
+    """One config field of JSON type kind; a shape makes it nested arrays
+    of kind, one length per level (None: any).  A None default marks a
+    field that is optional or derived from the others."""
+
     kind: type
     default: object
     help: str
+    shape: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,7 @@ def _run_afshar(p, n, seed):
 
 def _epr_angles(p):
     if p["delta"] is not None:
-        return float(p["delta"]), 0.0
+        return p["delta"], 0.0
     return p["theta_l"], p["theta_r"]
 
 

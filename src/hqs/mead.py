@@ -86,27 +86,35 @@ class AtomPairState:
 class AvalancheConfig:
     """Fixed-step RK4 setup for one emitter-absorber pair.
 
-    dt must respect both the coupling scale (0.02/k) and, when a beat
-    frequency is supplied for signal reconstruction, 1/40 of its period.
-    The trajectory is deterministic: x0 is the whole initial transfer.
+    t_end defaults to 20/k and dt to 0.005/k.  dt must respect the
+    coupling scale (0.02/k) and, when a beat frequency omega is given for
+    signal reconstruction, 1/40 of its period.  x0 is the whole initial transfer.
     """
 
     k: float
     x0: float
-    t_end: float
-    dt: float
+    t_end: float | None = None
+    dt: float | None = None
     omega: float | None = None
 
     def __post_init__(self):
         if self.k <= 0:
             raise ValueError("k must be positive")
+        if self.t_end is None:
+            object.__setattr__(self, "t_end", 20.0 / self.k)
+        if self.dt is None:
+            object.__setattr__(self, "dt", 0.005 / self.k)
         if not 0.0 < self.x0 < 0.5:
             raise ValueError("x0 must lie in (0, 0.5)")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
+        if self.omega is not None and self.omega <= 0:
+            raise ValueError("omega must be positive")
         bound = self.stability_bound
         if not 0.0 < self.dt <= bound * (1.0 + 1e-12):
             raise ValueError(f"dt must lie in (0, {bound:.6g}] for stability")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError("t_end / dt must be a finite number of steps")
 
     @property
     def stability_bound(self) -> float:
@@ -117,9 +125,7 @@ class AvalancheConfig:
 
 
 def default_config(k: float = 1.0, x0: float = 0.01, t_end: float | None = None) -> AvalancheConfig:
-    if t_end is None:
-        t_end = 20.0 / k
-    return AvalancheConfig(k=k, x0=x0, t_end=t_end, dt=0.005 / k)
+    return AvalancheConfig(k=k, x0=x0, t_end=t_end)
 
 
 def _clip(x: float) -> float:

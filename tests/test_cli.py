@@ -575,3 +575,65 @@ def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     config.write_bytes(MZ_JSON.replace('"A"', '"\xff"').encode("latin-1"))
     assert main(["run", "custom", "--param", f"config={config}"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+WRONG_TYPES = [
+    (["dynamics", "field", "--param", "positions=1,2"], "positions"),
+    (["dynamics", "field", "--param", "positions=[[1],[2]]"], "positions"),
+    (["run", "bubble", "--param", "n_detectors=64.7"], "n_detectors"),
+    (["dynamics", "compete", "--param", "trials=true"], "trials"),
+    (["run", "epr", "--param", "delta=true"], "delta"),
+    (["dynamics", "field", "--param", "extent=nan"], "extent"),
+    (["dynamics", "avalanche", "--param", "omega=nan"], "omega"),
+    (["scan", "bubble", "--param", "n_detectors=8:9:3"], "n_detectors"),
+]
+
+
+@pytest.mark.parametrize("argv, field", WRONG_TYPES, ids=[" ".join(a[:2] + a[-1:]) for a, _ in WRONG_TYPES])
+def test_a_param_of_the_wrong_type_is_a_config_error_naming_it(capsys, argv, field):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"bad value for {field!r}" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [("emission", {"v": "1"}, "v"), ("calibrate_emission", [1], "calibrate_emission"),
+     ("calibrate_emission", "no", "calibrate_emission")],
+    ids=["emission-string", "calibrate-list", "calibrate-string"],
+)
+def test_a_network_value_of_the_wrong_type_is_a_config_error_naming_it(tmp_path, capsys, key, value, field):
+    err = _run_network(tmp_path, capsys, dict(json.loads(MZ_JSON), **{key: value}))
+    assert f"bad value for {field!r}" in err
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [(["k=0"], "k must be positive"), (["omega=0"], "omega must be positive"),
+     (["k=1e-300", "dt=1e-300"], "t_end / dt must be a finite number of steps")],
+    ids=["k=0", "omega=0", "step-count-overflows"],
+)
+def test_avalanche_values_that_divide_by_zero_or_overflow_are_config_errors(capsys, params, message):
+    # t_end = 20/k and the dt bound of omega divide by them; t_end/dt counts the steps
+    argv = ["dynamics", "avalanche"]
+    for p in params:
+        argv += ["--param", p]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_list_prints_every_dynamics_parameter_from_the_table(capsys, monkeypatch):
+    from hqs.cli import DYNAMICS
+    from hqs.experiments.registry import Param
+
+    # a parameter only the table knows must be listed too
+    monkeypatch.setitem(DYNAMICS["field"].params, "knob", Param(int, 7, "declared by this test only"))
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, model in DYNAMICS.items():
+        start = lines.index(f"dynamics {name}: {model.description}") + 1
+        listed = lines[start:start + len(model.params)]
+        assert len(listed) == len(model.params)
+        for line, (key, p) in zip(listed, model.params.items()):
+            assert line.startswith(f"    {key} ({p.kind.__name__}")
+            assert line.endswith(f", default {p.default!r}): {p.help}")

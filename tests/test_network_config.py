@@ -5,9 +5,11 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import re
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -191,3 +193,118 @@ def _check(text: str, own: list) -> int:
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_mutated_networks_exit_0_or_2_and_point_at_their_element(document):
     _check(*document)
+
+
+# -- typed fields: the network document's own keys, run descriptions and
+# dynamics parameters, each read through the config tables ----------------------
+
+VALUES = [0, 1, -1, 2, 0.5, 2.5, 1e-3, float("nan"), float("inf"), True, False, None, "x", "1,2", "",
+          [1, 2], [[1], [2]], [0.5, "a"], {}, {"h": [1, 0]}]
+# a cheap run of each model, so one mutated value cannot make it long
+DYNAMICS_BASE = {"avalanche": {"t_end": 2}, "compete": {"trials": 20}, "field": {"nx": 21, "ny": 21}}
+
+
+def _wrong_type(p, value) -> bool:
+    """value is plainly not of p's JSON type, so it must be refused."""
+    if value is None:
+        return p.default is not None
+    if p.shape:  # arrays, and the --param form a,b,c, may still be refused for their shape
+        return not isinstance(value, (list, str))
+    if p.kind in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return True
+        return not math.isfinite(value) or p.kind is int and not float(value).is_integer()
+    return not isinstance(value, p.kind)
+
+
+def _run_description(doc: dict) -> tuple:
+    """Exit code and message of parsing, running and emitting a run description."""
+    try:
+        spec = cli.parse_config(json.dumps(doc))
+        cli.emit_results(cli.run_spec(spec), spec.output_format)
+    except cli.ConfigError as exc:
+        return 2, str(exc)
+    return 0, ""
+
+
+def _run_dynamics(model: str, params: dict) -> tuple:
+    argv = ["dynamics", model]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={json.dumps(value)}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@given(st.sampled_from(["network", "emission", "run", *sorted(cli.DYNAMICS)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_typed_field_exits_0_or_2_and_a_wrong_type_names_it(target, data):
+    value = data.draw(st.sampled_from(VALUES))
+    if target == "network":
+        key = data.draw(st.sampled_from(["source", "emission", "calibrate_emission"]))
+        p = cli.NETWORK_FIELDS[key]
+        code, err, _ = _run(json.dumps(dict(MZ, **{key: value})))
+    elif target == "emission":
+        key = data.draw(st.sampled_from(sorted(cli.EMISSION_FIELDS)))
+        p = cli.EMISSION_FIELDS[key]
+        code, err, _ = _run(json.dumps(dict(MZ, emission={"v": [1, 0], key: value})))
+    elif target == "run":
+        key = data.draw(st.sampled_from(["n", "seed", "output_format", "parameters"]))
+        p = cli.RUN_FIELDS[key]
+        code, err = _run_description({"experiment": "mz", "n": 20, key: value})
+    else:
+        key = data.draw(st.sampled_from(sorted(cli.DYNAMICS[target].params)))
+        p = cli.DYNAMICS[target].params[key]
+        code, err = _run_dynamics(target, dict(DYNAMICS_BASE[target], **{key: value}))
+    assert code in (0, 2), err
+    if _wrong_type(p, value):
+        assert code == 2 and f"bad value for {key!r}" in err, (key, value, err)
+
+
+# -- the order of "elements" never reaches the envelope ---------------------------
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+README_NETWORK = json.loads(re.search(r"### Custom networks.*?```json\n(.*?)```", README, re.S).group(1))
+# five slits fed by a splitter tree, one arm trimmed, onto one screen
+FIVE_SLITS = {
+    "source": "L",
+    "calibrate_emission": True,
+    "elements": [
+        {"id": "L", "kind": "source", "outputs": {"out": "S0:a"}},
+        {"id": "S0", "kind": "beamsplitter", "outputs": {"out1": "S1:a", "out2": "S2:a"}},
+        {"id": "S1", "kind": "beamsplitter", "outputs": {"out1": "scr:s1", "out2": "T"}},
+        {"id": "T", "kind": "phase_segment", "params": {"length": 0.3}, "outputs": {"out": "scr:s2"}},
+        {"id": "S2", "kind": "beamsplitter", "outputs": {"out1": "S3:a", "out2": "scr:s3"}},
+        {"id": "S3", "kind": "beamsplitter", "outputs": {"out1": "scr:s4", "out2": "scr:s5"}},
+        {"id": "scr", "kind": "screen", "params": {
+            "bin_count": 41, "half_width": 30.0, "distance": 200.0,
+            "offsets": {"s1": -4.0, "s2": -2.0, "s3": 0.0, "s4": 2.0, "s5": 4.0}}},
+    ],
+}
+
+
+def _envelopes(*docs) -> list:
+    """The `hqs run custom` envelope of each doc, all read from one path,
+    since the envelope echoes the config path."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path, result = os.path.join(tmp, "net.json"), os.path.join(tmp, "out.json")
+        for doc in docs:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(["run", "custom", "--param", f"config={path}", "--events", "2000",
+                                 "--seed", "3", "--out", result]) == 0
+            with open(result, "rb") as fh:
+                out.append(fh.read())
+    return out
+
+
+@given(st.sampled_from([README_NETWORK, FIVE_SLITS]), st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_shuffling_the_elements_leaves_the_envelope_bytes_unchanged(doc, rng):
+    elements = list(doc["elements"])
+    rng.shuffle(elements)
+    original, shuffled = _envelopes(doc, dict(doc, elements=elements))
+    assert shuffled == original
