@@ -210,6 +210,12 @@ EMISSION_FIELDS = {
     "h": Param(float, (0.0, 0.0), "horizontal component [re, im]", shape=(2,)),
     "v": Param(float, (0.0, 0.0), "vertical component [re, im]", shape=(2,)),
 }
+_ELEMENT_FIELDS = {
+    "id": Param(str, None, "the element's id, unique in the network"),
+    "kind": Param(str, None, "one of the element kinds"),
+    "params": Param(dict, {}, "the kind's parameters"),
+    "outputs": Param(dict, {}, "output port -> target id, or id:port"),
+}
 
 
 def _parse_network(doc: dict, text: str) -> OpticalNetwork:
@@ -225,19 +231,18 @@ def _parse_network(doc: dict, text: str) -> OpticalNetwork:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
             raise ConfigError(f"every element needs an id and a kind; elements[{i}] does not")
-        elem_id, kind = entry["id"], entry["kind"]
-        params, outputs = entry.get("params", {}), entry.get("outputs", {})
-        if not isinstance(elem_id, str):
+        if not isinstance(entry["id"], str):
             raise ConfigError(f"{where(i)}: id must be a JSON string")
-        if not isinstance(kind, str) or kind not in KINDS:
-            raise ConfigError(f"{where(i)}: unknown kind {kind!r}")
-        for key, value in (("params", params), ("outputs", outputs)):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where(i)}: {key} must be a JSON object")
-        for port, target in outputs.items():
+        if not isinstance(entry["kind"], str) or entry["kind"] not in KINDS:
+            raise ConfigError(f"{where(i)}: unknown kind {entry['kind']!r}")
+        try:
+            entry = _read(_ELEMENT_FIELDS, entry, "this element")
+        except ConfigError as exc:
+            raise ConfigError(f"{where(i)}: {exc}") from None
+        for port, target in entry["outputs"].items():
             if not isinstance(target, str):
                 raise ConfigError(f"{where(i)}: output {port!r} must be a JSON string naming its target")
-        elements.append(Element(elem_id, kind, dict(params), dict(outputs)))
+        elements.append(Element(entry["id"], entry["kind"], dict(entry["params"]), dict(entry["outputs"])))
     if top["source"] is None:
         raise ConfigError("network JSON needs a 'source' id")
     emission = _read(EMISSION_FIELDS, top["emission"], "emission")

@@ -5,10 +5,15 @@ one source to a set of absorbers (detectors, blockers, screen bins, the
 absorbed port of a polarizer).  Every element acts linearly on the Jones
 vector, so one sweep in topological order sums the amplitude arriving at
 each (element, input port) and at each absorber, and an absorber's echo
-is the squared modulus of its sum.  The same sweep finds cycles,
-unreachable absorbers and lost amplitude, which makes it the validator
-too; validate computes that report once per network object and keeps it
-on the network.  Exactly one absorber per event is then selected with
+is the squared modulus of its sum.  validate compiles each network
+object once, next to its report: structural checks, one integer slot per
+(element, input port), and one Kahn-order walk that makes each input the
+wave reaches a step (its slot, the slots it feeds, its factors) and
+fixes the sorted absorber ids and screen bin factors.  The sweep carries
+Python complex pairs from slot to slot in wavecore's operation order and
+reads the absorbers out with real ufuncs, so its echoes are bit for bit
+those of the element physics; it also finds cycles, unreachable absorbers
+and lost amplitude.  Exactly one absorber per event is then selected with
 probability proportional to its echo.  Counts-only runs never pick per
 event: each chunk of draws is scaled and sorted once, and the count of
 every absorber is read off by binary search of the sorted draws at the
@@ -40,6 +45,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
+from collections import Counter, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -47,34 +53,17 @@ from functools import cached_property
 import numpy as np
 
 from .rng import RandomStream, uniform_block
-from .wavecore import (
-    REFLECT_FACTOR,
-    TRANSMIT_FACTOR,
-    VERTICAL,
-    PolarizedAmplitude,
-    path_phase,
-    polarizer_project,
-    polarizer_reject,
-    waveplate_apply,
-)
+from .wavecore import REFLECT_FACTOR, TRANSMIT_FACTOR, VERTICAL, PolarizedAmplitude, cos_deg, path_phase, sin_deg
 
 ECHO_SUM_TOL = 1e-9
 _CHUNK = 1 << 16
 
-KINDS = {
-    "source",
-    "beamsplitter",
-    "mirror",
-    "phase_segment",
-    "halfwave_plate",
-    "quarterwave_double",
-    "polarizer",
-    "blocker",
-    "detector",
-    "screen",
-}
+KINDS = {"source", "beamsplitter", "mirror", "phase_segment", "halfwave_plate", "quarterwave_double", "polarizer",
+         "blocker", "detector", "screen"}
 TERMINAL_KINDS = {"blocker", "detector", "screen"}
-_SINGLE_OUT = {"mirror", "phase_segment", "halfwave_plate", "quarterwave_double", "polarizer"}
+# the output ports each kind sends on; a source sends on all of its own
+_OUT_PORTS = {"beamsplitter": ("out1", "out2"), **dict.fromkeys(
+    ("mirror", "phase_segment", "halfwave_plate", "quarterwave_double", "polarizer"), ("out",))}
 
 
 @dataclass(frozen=True)
@@ -113,7 +102,7 @@ class OpticalNetwork:
     def __post_init__(self):
         self.elements = tuple(self.elements)
         self._by_id = {e.id: e for e in self.elements}
-        self._report = None  # set by validate
+        self._report = self._plan = None  # set by validate
 
     def element(self, elem_id: str) -> Element:
         return self._by_id[elem_id]
@@ -164,7 +153,7 @@ class EchoTable:
         ids = tuple(sorted(self.entries))
         weights = np.array([self.entries[a] for a in ids], dtype=float)
         total = weights.sum()
-        if abs(total - 1.0) > ECHO_SUM_TOL:
+        if not abs(total - 1.0) <= ECHO_SUM_TOL:
             raise ValueError(f"incomplete absorber set: echoes sum to {total:.6g}")
         probs = weights / total
         return ids, probs, np.cumsum(probs)
@@ -178,93 +167,172 @@ class EventRecord:
 
 
 def validate(network: OpticalNetwork) -> ValidationReport:
-    """Structural checks, then one sweep for cycles, reachability and the
-    echo sum; collects every defect found.
-
-    The report is computed once per network object and kept on it, so
-    every later reader of the same network (network_echo_table,
-    calibrated) reuses that one sweep.
-    """
+    """Structural checks, then one sweep for reachability and the echo sum;
+    collects every defect found.  The compiled form and the report stay on
+    the network for its later readers (network_echo_table, calibrated)."""
     if network._report is None:
         network._report = _validate(network)
     return network._report
 
 
 def _validate(network: OpticalNetwork) -> ValidationReport:
+    plan = network._plan = network._plan or _compile(network)
+    defects = list(plan.defects)
+    add = lambda kind, detail, element: defects.append(Defect(kind, detail, element))
+    if plan.steps is None:
+        return ValidationReport(False, tuple(defects))
+    try:
+        amps = _sweep(network)
+    except ValueError as exc:
+        eid, why = exc.args
+        add("bad params", f"{eid}: {why}", eid)
+        return ValidationReport(False, tuple(defects))
+    with np.errstate(over="ignore"):  # summed as norm_sq sums; an echo that overflows is refused
+        echo = amps[0] * amps[0] + amps[1] * amps[1] + amps[2] * amps[2] + amps[3] * amps[3]
+    if not np.isfinite(echo).all():
+        raise OverflowError("echo out of range")
+    echoes = dict(zip(plan.ids, echo.tolist()))
+    for elem in network.elements:
+        if elem.kind in TERMINAL_KINDS and elem.id not in plan.reached:
+            add("unreachable absorber", elem.id, elem.id)
+    echo_sum = math.fsum(echoes.values())
+    if not abs(echo_sum - 1.0) <= ECHO_SUM_TOL:
+        add("echo-sum", f"{echo_sum:.6g}", None)
+    return ValidationReport(not defects, tuple(defects), echo_sum, echoes)
+
+
+# a compiled network (see the module docstring); steps is None when a defect keeps it from being swept
+_Plan = namedtuple("_Plan", "defects steps slots reached ids points screens", defaults=(None,) * 6)
+
+
+def _compile(network: OpticalNetwork) -> _Plan:
     defects: list[Defect] = []
     add = lambda kind, detail, element: defects.append(Defect(kind, detail, element))
 
-    ids = [e.id for e in network.elements]
-    if len(set(ids)) != len(ids):
-        dups = sorted({i for i in ids if ids.count(i) > 1})
+    by_id = network._by_id
+    dups = sorted(i for i, n in Counter(e.id for e in network.elements).items() if n > 1)
+    if dups:
         add("duplicate id", ", ".join(dups), dups[0])
-    if network.source_id not in network:
-        add("missing source", network.source_id, network.source_id)
-    else:
-        src = network.element(network.source_id)
-        if src.kind != "source":
-            add("missing source", f"{network.source_id} has kind {src.kind}", src.id)
-
-    in_edges: dict[tuple[str, str], list[str]] = {}
+    src = by_id.get(network.source_id)
+    if src is None or src.kind != "source":
+        add("missing source", network.source_id if src is None else f"{src.id} has kind {src.kind}", network.source_id)
+    indegree = dict.fromkeys(by_id, 0)
+    successors: dict[str, list[str]] = {eid: [] for eid in by_id}
+    in_edges: dict[tuple[str, str], list[str]] = {(network.source_id, ""): []}  # input -> feeders, in slot order
+    wires: dict[tuple[str, str], tuple[str, str]] = {}  # (element, output port) -> in_edges key
     for elem in network.elements:
+        if elem.kind in ("blocker", "detector") and not elem.outputs:
+            continue  # nothing to check
         if elem.kind not in KINDS:
             add("unknown kind", f"{elem.id}: {elem.kind}", elem.id)
             continue
         defects.extend(_check_params(elem))
-        defects.extend(_check_ports(elem))
+        ports, want = set(elem.outputs), set(_OUT_PORTS.get(elem.kind, ()))
+        if elem.kind in TERMINAL_KINDS and ports:
+            add("bad wiring", f"terminal {elem.id} has outputs", elem.id)
+        elif elem.kind == "source" and not ports:
+            add("dangling port", f"source {elem.id} has no outputs", elem.id)
+        elif want and ports != want:
+            add("dangling port", f"{elem.id} needs {' and '.join(sorted(want))}, has {sorted(ports)}", elem.id)
         for port, target in sorted(elem.outputs.items()):
             tid, tport = _parse_target(target)
-            if tid not in network:
+            if tid not in by_id:
                 add("dangling port", f"{elem.id}.{port} -> {target}", elem.id)
                 continue
-            tkind = network.element(tid).kind
+            successors[elem.id].append(tid)
+            indegree[tid] += 1
+            tkind = by_id[tid].kind
             if tkind == "source":
                 add("bad wiring", f"{elem.id}.{port} feeds source {tid}", elem.id)
             tport = tport or _default_in_port(tkind)
             if tkind == "beamsplitter" and tport not in ("a", "b"):
                 add("bad wiring", f"{elem.id}.{port} -> unknown input {tid}:{tport}", elem.id)
-            if tkind == "screen":
-                offsets = network.element(tid).params.get("offsets", {})
-                if tport not in offsets:
-                    add("bad wiring", f"{elem.id}.{port} -> screen {tid} has no offset for port {tport}", elem.id)
+            if tkind == "screen" and tport not in by_id[tid].params.get("offsets", {}):
+                add("bad wiring", f"{elem.id}.{port} -> screen {tid} has no offset for port {tport}", elem.id)
             in_edges.setdefault((tid, tport), []).append(elem.id)
-
-    for (tid, tport), feeders in sorted(in_edges.items()):
-        if len(feeders) > 1:
-            add("input collision", f"{tid}:{tport} fed by {', '.join(sorted(feeders))}", tid)
+            wires[elem.id, port] = (tid, tport)
+    for tid, tport in sorted(key for key, feeders in in_edges.items() if len(feeders) > 1):
+        add("input collision", f"{tid}:{tport} fed by {', '.join(sorted(in_edges[tid, tport]))}", tid)
 
     # the sweep needs unique ids, known kinds, a source and usable params
     if any(d.kind in ("unknown kind", "missing source", "duplicate id", "bad params") for d in defects):
-        return ValidationReport(False, tuple(defects))
+        return _Plan(tuple(defects))
 
-    try:
-        echoes, reached = _sweep(network)
-    except ValueError as exc:
-        eid, why = exc.args
-        add("bad params", f"{eid}: {why}", eid)
-        return ValidationReport(False, tuple(defects))
-    if echoes is None:
-        add("cycle", "network graph contains a cycle", _on_cycle(network, reached))
-        return ValidationReport(False, tuple(defects))
+    order, ready = [], [eid for eid, d in indegree.items() if d == 0]
+    while ready:
+        order.append(ready.pop())
+        for tid in successors[order[-1]]:
+            indegree[tid] -= 1
+            if indegree[tid] == 0:
+                ready.append(tid)
+    stuck = {eid for eid, d in indegree.items() if d}
+    if stuck:
+        add("cycle", "network graph contains a cycle", _on_cycle(stuck, successors))
+        return _Plan(tuple(defects))
+    slot, inputs = {key: k for k, key in enumerate(in_edges)}, {}  # slot 0 holds the emission
+    for (tid, tport), k in slot.items():
+        inputs.setdefault(tid, []).append((tport, k))
+    reached, steps, points, screens = {network.source_id}, [], {}, []
 
-    for elem in network.elements:
-        if elem.kind in TERMINAL_KINDS and elem.id not in reached:
-            add("unreachable absorber", elem.id, elem.id)
-    echo_sum = math.fsum(echoes.values())
-    if abs(echo_sum - 1.0) > ECHO_SUM_TOL:
-        add("echo-sum", f"{echo_sum:.6g}", None)
-    return ValidationReport(not defects, tuple(defects), echo_sum, echoes)
+    def out(eid: str, port: str) -> int:
+        # the slot an output port feeds: its target's input, or a sink of its own
+        wire = wires.get((eid, port))
+        if wire is None:
+            return slot.setdefault((eid, port, None), len(slot))
+        reached.add(wire[0])
+        return slot[wire]
+
+    # reached grows as the walk goes; an unreached input of a reached element holds zero
+    for elem in (by_id[eid] for eid in order if eid in reached):
+        eid, kind, p, fed = elem.id, elem.kind, elem.params, sorted(inputs[elem.id])
+        if kind in ("blocker", "detector"):
+            points.setdefault(eid, []).extend([k for _, k in fed])
+            continue
+        try:
+            if kind == "screen":
+                fed = [(k, float(p["offsets"][port])) for port, k in fed if port in p["offsets"]]
+                bins, L = _screen_bins(p).tolist() if fed else [], float(p["distance"])
+                factors = [(k, np.array([path_phase(math.hypot(L, x - x0)) for x in bins])) for k, x0 in fed]
+                if not all(np.isfinite(f).all() for _, f in factors):
+                    raise ValueError("non-finite amplitude component")
+                pad = len(str(len(bins) - 1))
+                screens.append((eid, [f"{eid}[{i:0{pad}d}]" for i in range(len(bins))],
+                                tuple((k, f.real, f.imag) for k, f in factors)))
+                continue
+            ts = tuple(out(eid, q) for q in (sorted(elem.outputs) if kind == "source" else _OUT_PORTS[kind]))
+            if kind == "polarizer":
+                ts += (slot.setdefault((eid, "absorbed", None), len(slot)),)
+                points.setdefault(f"{eid}.absorbed", []).append(ts[1])
+                op = ("polarizer", ts, (cos_deg(float(p["axis"])), sin_deg(float(p["axis"]))))
+            elif kind in ("halfwave_plate", "quarterwave_double"):
+                op = ("plate", ts, (cos_deg(2.0 * float(p["axis"])), sin_deg(2.0 * float(p["axis"]))))
+            elif kind == "phase_segment":
+                op = ("scale", ts, (path_phase(float(p["length"])),))
+            else:  # source, mirror; a beamsplitter's factors depend on the input
+                op = ("scale", ts, tuple(1.0 / math.sqrt(len(ts)) for _ in ts) if kind == "source" else (1.0,))
+        except ValueError as exc:  # finite params whose geometry overflows
+            add("bad params", f"{eid}: {exc}", eid)
+            return _Plan(tuple(defects))
+        for port, k in fed:
+            if kind == "beamsplitter":  # a transmits to out1 and reflects to out2, b the reverse
+                op = ("scale", ts, (TRANSMIT_FACTOR, REFLECT_FACTOR) if port == "a" else (REFLECT_FACTOR, TRANSMIT_FACTOR))
+            steps.append((eid, k, *op))
+
+    absorbers = sorted({*points, *(b for _, bins, _ in screens for b in bins)})
+    at = {aid: i for i, aid in enumerate(absorbers)}
+    return _Plan(tuple(defects), tuple(steps), len(slot), frozenset(reached), tuple(absorbers),
+                 (np.array([at[aid] for aid, ks in points.items() for _ in ks], dtype=np.intp),
+                  np.array([k for ks in points.values() for k in ks], dtype=np.intp)),
+                 tuple((np.array([at[b] for b in bins], dtype=np.intp), ports) for _, bins, ports in screens))
 
 
-def _on_cycle(network: OpticalNetwork, stuck: set) -> str:
-    """One element on a cycle, given the elements the sweep never visited.
-
-    Each of those still waits on an unvisited predecessor, so walking back
-    through them must repeat an element, and that element lies on a cycle.
-    """
+def _on_cycle(stuck: set, successors: dict) -> str:
+    """One element on a cycle, given the elements the Kahn order never
+    reached: each still waits on one of them, so walking back through them
+    must repeat an element, and that element lies on a cycle."""
     preds: dict[str, list[str]] = {eid: [] for eid in stuck}
     for eid in stuck:
-        for tid, _ in map(_parse_target, network.element(eid).outputs.values()):
+        for tid in successors[eid]:
             if tid in preds:
                 preds[tid].append(eid)
     seen: set[str] = set()
@@ -308,121 +376,50 @@ def _check_params(elem: Element) -> list[Defect]:
     return out
 
 
-def _check_ports(elem: Element) -> list[Defect]:
-    out = []
-    ports = set(elem.outputs)
-    if elem.kind in TERMINAL_KINDS:
-        if ports:
-            out.append(Defect("bad wiring", f"terminal {elem.id} has outputs", elem.id))
-    elif elem.kind == "source":
-        if not ports:
-            out.append(Defect("dangling port", f"source {elem.id} has no outputs", elem.id))
-    elif elem.kind == "beamsplitter":
-        if ports != {"out1", "out2"}:
-            out.append(Defect("dangling port", f"{elem.id} needs out1 and out2, has {sorted(ports)}", elem.id))
-    elif elem.kind in _SINGLE_OUT:
-        if ports != {"out"}:
-            out.append(Defect("dangling port", f"{elem.id} needs out, has {sorted(ports)}", elem.id))
-    return out
-
-
-def _scatter(elem: Element, in_port: str, amp: PolarizedAmplitude):
-    """What one element does to the amplitude arriving on one input port.
-
-    Yields (target, amplitude).  target is an absorber id, or an (element
-    id, input port) pair read from the wiring, where an empty port means the
-    target's default input.  Unwired outputs and screen ports without an
-    offset yield nothing; validate reports them.
-    """
-    kind = elem.kind
-    if kind in ("blocker", "detector"):
-        yield elem.id, amp
-        return
-    if kind == "screen":
-        x0 = elem.params["offsets"].get(in_port)
-        if x0 is None:
-            return
-        L, x0 = float(elem.params["distance"]), float(x0)
-        bins = _screen_bins(elem.params).tolist()
-        pad = len(str(len(bins) - 1))
-        for k, x in enumerate(bins):
-            yield f"{elem.id}[{k:0{pad}d}]", amp * path_phase(math.hypot(L, x - x0))
-        return
-
-    if kind == "source":
-        ports = sorted(elem.outputs)
-        split = 1.0 / math.sqrt(len(ports)) if ports else 0.0
-        branches = [(port, amp * split) for port in ports]
-    elif kind == "mirror":
-        branches = [("out", amp)]
-    elif kind == "phase_segment":
-        branches = [("out", amp * path_phase(float(elem.params["length"])))]
-    elif kind in ("halfwave_plate", "quarterwave_double"):
-        branches = [("out", waveplate_apply(amp, float(elem.params["axis"])))]
-    elif kind == "polarizer":
-        axis = float(elem.params["axis"])
-        yield f"{elem.id}.absorbed", polarizer_reject(amp, axis)
-        branches = [("out", polarizer_project(amp, axis))]
-    elif in_port == "a":  # beamsplitter
-        branches = [("out1", amp * TRANSMIT_FACTOR), ("out2", amp * REFLECT_FACTOR)]
-    else:
-        branches = [("out1", amp * REFLECT_FACTOR), ("out2", amp * TRANSMIT_FACTOR)]
-    for out_port, new_amp in branches:
-        target = elem.outputs.get(out_port)
-        if target is not None:
-            yield _parse_target(target), new_amp
-
-
-def _sweep(network: OpticalNetwork):
-    """Carry the offer wave through the network once, in topological order.
-
-    Returns (echoes, reached): absorber id -> squared modulus of the summed
-    amplitude, in sorted-id order, and the ids of the elements the wave
-    arrived at.  If the graph has a cycle it returns (None, stuck), the ids
-    of the elements the sweep never visited.  Raises ValueError(element id,
-    reason) for an element whose output is not finite.  Amplitude sent to a
-    missing element is dropped, so a wiring defect shows up as a short echo
-    sum.  Needs unique ids and checked params.
-    """
-    by_id = network._by_id
-    successors: dict[str, list[str]] = {}
-    indegree = dict.fromkeys(by_id, 0)
-    for elem in network.elements:
-        nxt = [tid for tid, _ in map(_parse_target, elem.outputs.values()) if tid in by_id]
-        successors[elem.id] = nxt
-        for tid in nxt:
-            indegree[tid] += 1
-    ready = [eid for eid, d in indegree.items() if d == 0]
-    # amplitude waiting at each element, summed per input port
-    inbox: dict[str, dict[str, PolarizedAmplitude]] = {network.source_id: {"": network.emission}}
-    absorbed: dict[str, PolarizedAmplitude] = {}
-    reached = {network.source_id}
-    visited = 0
-    while ready:
-        eid = ready.pop()
-        visited += 1
-        elem = by_id[eid]
-        try:
-            for port, amp in sorted(inbox.pop(eid, {}).items()):
-                for target, out in _scatter(elem, port, amp):
-                    if isinstance(target, str):
-                        key, box = target, absorbed
-                    else:
-                        tid, tport = target
-                        if tid not in by_id:
-                            continue
-                        reached.add(tid)
-                        key, box = tport or _default_in_port(by_id[tid].kind), inbox.setdefault(tid, {})
-                    box[key] = box[key] + out if key in box else out
-        except ValueError as exc:  # finite params whose geometry overflows
-            raise ValueError(eid, str(exc)) from None
-        for tid in successors[eid]:
-            indegree[tid] -= 1
-            if indegree[tid] == 0:
-                ready.append(tid)
-    if visited < len(indegree):
-        return None, {tid for tid, d in indegree.items() if d}
-    return {aid: absorbed[aid].norm_sq() for aid in sorted(absorbed)}, reached
+def _sweep(network: OpticalNetwork) -> np.ndarray:
+    """Carry the offer wave through the compiled network once, in Kahn order,
+    to the real and imaginary parts of the h and v amplitude summed at each
+    absorber: a (4, n) array in sorted-id order.  Steps use wavecore's Python
+    complex operations; sums and bin products use real ufuncs, never numpy's
+    complex multiply.  Raises ValueError(element id, reason) for the first
+    element whose output is not finite."""
+    plan = network._plan
+    h, v = [0j] * plan.slots, [0j] * plan.slots
+    h[0], v[0] = complex(network.emission.h), complex(network.emission.v)
+    for _, k, kind, ts, fs in plan.steps:
+        x, y = h[k], v[k]
+        if kind == "scale":  # one factor per output
+            for t, f in zip(ts, fs):
+                h[t] += x * f
+                v[t] += y * f
+        elif kind == "plate":  # waveplate_apply
+            (t,), (c2, s2) = ts, fs
+            h[t] += c2 * x + s2 * y
+            v[t] += s2 * x - c2 * y
+        else:  # polarizer_project to the output, polarizer_reject to the absorber
+            (t, absorbed), (c, s) = ts, fs
+            coef = x * c + y * s
+            h[t] += coef * c
+            v[t] += coef * s
+            coef = -x * s + y * c
+            h[absorbed] += -coef * s
+            v[absorbed] += coef * c
+    hs, vs = np.array(h), np.array(v)
+    slots = np.array([hs.real, hs.imag, vs.real, vs.imag])
+    bad = ~np.isfinite(slots).all(axis=0)
+    if bad.any():
+        raise ValueError(next(eid for eid, _, _, ts, _ in plan.steps if bad[list(ts)].any()),
+                         "non-finite amplitude component")
+    amps = np.zeros((4, len(plan.ids)))
+    with np.errstate(all="ignore"):  # an overflow shows up as an echo out of range
+        np.add.at(amps, (slice(None), plan.points[0]), slots[:, plan.points[1]])  # in port order
+        for at, ports in plan.screens:
+            bins = np.zeros((4, len(at)))
+            for k, c, s in ports:  # the slot's amplitude times each bin factor c + i s
+                hr, hi, vr, vi = slots[:, k]
+                bins += [hr * c - hi * s, hr * s + hi * c, vr * c - vi * s, vr * s + vi * c]
+            amps[:, at] += bins
+    return amps
 
 
 def _invalid(defects) -> ValueError:
@@ -453,6 +450,7 @@ def calibrated(network: OpticalNetwork) -> OpticalNetwork:
     if total is None or total <= 0:
         raise ValueError("network has no absorbed amplitude to calibrate")
     out = replace(network, emission=network.emission * (1.0 / math.sqrt(total)))
+    out._plan = network._plan  # the same elements: only the emission differs
     # an echo total near the float floor cannot be rescaled to one
     if not validate(out).ok:
         raise _invalid(validate(out).defects)

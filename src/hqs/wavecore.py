@@ -81,7 +81,7 @@ class PolarizedAmplitude:
 
     def norm_sq(self) -> float:
         h, v = complex(self.h), complex(self.v)
-        return h.real**2 + h.imag**2 + v.real**2 + v.imag**2
+        return h.real * h.real + h.imag * h.imag + v.real * v.real + v.imag * v.imag
 
 
 VERTICAL = PolarizedAmplitude(v=1.0 + 0j)
@@ -93,10 +93,7 @@ def born_echo(amplitudes) -> float:
     sum of the amplitudes that reach it."""
     if not amplitudes:
         raise ValueError("no paths")
-    total = PolarizedAmplitude()
-    for amp in amplitudes:
-        total = total + amp
-    return total.norm_sq()
+    return sum(amplitudes, PolarizedAmplitude()).norm_sq()
 
 
 def path_phase(length: float) -> complex:

@@ -532,6 +532,29 @@ def test_id_that_is_not_a_string_is_a_config_error(tmp_path, capsys):
     assert text[offset:].startswith('"id": 5')
 
 
+def test_an_unknown_key_in_an_element_is_a_config_error_naming_it(tmp_path, capsys):
+    doc = json.loads(MZ_JSON)
+    doc["elements"][2]["parms"] = {"length": 0.25}  # a misspelled "params" on mirror A
+    text = json.dumps(doc)
+    err = _run_network(tmp_path, capsys, doc)
+    assert "unknown parameter 'parms'" in err and "element 'A' at byte" in err
+    offset = int(err.split("at byte ")[1].split(":")[0])
+    assert text.encode()[offset:].startswith(b'"id": "A"')
+
+
+def test_a_valid_network_never_locates_its_elements(tmp_path, monkeypatch):
+    # byte offsets are only for error messages
+    from hqs import cli
+
+    def refuse(text):
+        raise AssertionError("_id_offsets called for a valid network")
+
+    monkeypatch.setattr(cli, "_id_offsets", refuse)
+    config = tmp_path / "net.json"
+    config.write_text(MZ_JSON)
+    assert main(["run", "custom", "--param", f"config={config}", "--out", str(tmp_path / "out.json")]) == 0
+
+
 @pytest.mark.parametrize("box", ["params", "outputs"])
 def test_an_id_key_inside_params_or_outputs_is_not_the_elements_own(tmp_path, capsys, box):
     # L's params or outputs carry "id": "S1" ahead of S1's own entry

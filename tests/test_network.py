@@ -8,13 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqs.experiments.bubble import bubble_network
+from hqs.experiments.slits import slit_network
 from hqs.network import (
     ECHO_SUM_TOL,
     EchoTable,
     Element,
     OpticalNetwork,
     _default_in_port,
-    _scatter,
+    _parse_target,
+    _screen_bins,
+    _sweep,
     calibrated,
     network_echo_table,
     run_events,
@@ -23,7 +27,63 @@ from hqs.network import (
     validate,
 )
 from hqs.rng import RandomStream
-from hqs.wavecore import PolarizedAmplitude, born_echo
+from hqs.wavecore import (
+    REFLECT_FACTOR,
+    TRANSMIT_FACTOR,
+    PolarizedAmplitude,
+    born_echo,
+    path_phase,
+    polarizer_project,
+    polarizer_reject,
+    waveplate_apply,
+)
+
+
+def _scatter(elem: Element, in_port: str, amp: PolarizedAmplitude):
+    """What one element does to the amplitude arriving on one input port.
+
+    Yields (target, amplitude).  target is an absorber id, or an (element
+    id, input port) pair read from the wiring, where an empty port means the
+    target's default input.  Unwired outputs and screen ports without an
+    offset yield nothing; validate reports them.
+    """
+    kind = elem.kind
+    if kind in ("blocker", "detector"):
+        yield elem.id, amp
+        return
+    if kind == "screen":
+        x0 = elem.params["offsets"].get(in_port)
+        if x0 is None:
+            return
+        L, x0 = float(elem.params["distance"]), float(x0)
+        bins = _screen_bins(elem.params).tolist()
+        pad = len(str(len(bins) - 1))
+        for k, x in enumerate(bins):
+            yield f"{elem.id}[{k:0{pad}d}]", amp * path_phase(math.hypot(L, x - x0))
+        return
+
+    if kind == "source":
+        ports = sorted(elem.outputs)
+        split = 1.0 / math.sqrt(len(ports)) if ports else 0.0
+        branches = [(port, amp * split) for port in ports]
+    elif kind == "mirror":
+        branches = [("out", amp)]
+    elif kind == "phase_segment":
+        branches = [("out", amp * path_phase(float(elem.params["length"])))]
+    elif kind in ("halfwave_plate", "quarterwave_double"):
+        branches = [("out", waveplate_apply(amp, float(elem.params["axis"])))]
+    elif kind == "polarizer":
+        axis = float(elem.params["axis"])
+        yield f"{elem.id}.absorbed", polarizer_reject(amp, axis)
+        branches = [("out", polarizer_project(amp, axis))]
+    elif in_port == "a":  # beamsplitter
+        branches = [("out1", amp * TRANSMIT_FACTOR), ("out2", amp * REFLECT_FACTOR)]
+    else:
+        branches = [("out1", amp * REFLECT_FACTOR), ("out2", amp * TRANSMIT_FACTOR)]
+    for out_port, new_amp in branches:
+        target = elem.outputs.get(out_port)
+        if target is not None:
+            yield _parse_target(target), new_amp
 
 
 def list_routes(network: OpticalNetwork) -> dict:
@@ -471,3 +531,105 @@ def test_sample_counts_refuses_a_negative_event_count():
     assert sample_counts(table, 0, seed=1) == {"A": 0, "B": 0}
     with pytest.raises(ValueError, match="n must be"):
         sample_counts(table, -5, seed=1)
+
+
+def test_a_nan_echo_makes_the_table_incomplete():
+    # abs(nan - 1) > tol is False, so the test must be written the other way round
+    with pytest.raises(ValueError, match="incomplete absorber set"):
+        sample_counts(EchoTable({"A": float("nan"), "B": 1.0}), 1000, seed=0)
+
+
+@st.composite
+def absorber_networks(draw):
+    """lossless_networks with each detector turned into one of the absorbers
+    the sweep reads out as arrays: a detector or blocker of its own, one of
+    the two named ports of a shared detector, or an offset port of a
+    screen."""
+    net = draw(lossless_networks())
+    outputs = {e.id: dict(e.outputs) for e in net.elements}
+    terminals, offsets, waiting = [], {}, None
+    for owner in outputs:
+        for port, target in sorted(outputs[owner].items()):
+            if not target.startswith("D"):
+                continue
+            fate = draw(st.sampled_from(["detector", "blocker", "shared", "screen"]))
+            if fate == "screen":
+                outputs[owner][port] = f"scr:{target}"
+                offsets[target] = draw(st.floats(-5.0, 5.0))
+            elif fate == "shared" and waiting is not None:
+                outputs[owner][port], waiting = f"{waiting}:y", None
+            elif fate == "shared":
+                outputs[owner][port], waiting = f"{target}:x", target
+                terminals.append(Element(target, "detector"))
+            else:
+                terminals.append(Element(target, fate))
+    if offsets:
+        terminals.append(Element("scr", "screen", {
+            "bin_count": draw(st.integers(1, 41)), "half_width": draw(st.floats(0.5, 20.0)),
+            "distance": draw(st.floats(5.0, 500.0)), "offsets": offsets}))
+    kept = [Element(e.id, e.kind, e.params, outputs[e.id]) for e in net.elements if e.kind != "detector"]
+    return OpticalNetwork(tuple(kept + terminals), "src", net.emission)
+
+
+@given(absorber_networks())
+@settings(max_examples=40, deadline=None)
+def test_absorbers_read_out_as_arrays_match_the_route_sum(net):
+    report = validate(net)
+    assert {d.kind for d in report.defects} <= {"echo-sum"}, report.defects  # screens are not calibrated
+    routes = list_routes(net)
+    assert sorted(report.echoes) == sorted(routes)
+    for aid, amps in routes.items():
+        assert abs(report.echoes[aid] - born_echo(amps)) <= 1e-12, aid
+
+
+def test_wide_tables_read_out_exactly():
+    table = network_echo_table(bubble_network(4096)).entries
+    assert len(table) == 4096 and set(table.values()) == {1.0 / 4096}
+    for labeled in (False, True):
+        net = slit_network(bin_count=2001, labeled=labeled)
+        table, routes = network_echo_table(net).entries, list_routes(net)
+        assert sorted(table) == sorted(routes)
+        assert max(abs(table[aid] - born_echo(amps)) for aid, amps in routes.items()) <= 1e-12
+
+
+@st.composite
+def mesh_columns(draw):
+    """Splitter positions of an N-mode mesh (N <= 8), each the upper of the
+    two modes it mixes: Clements' rectangle of N alternating columns, or
+    Reck's triangle of diagonals."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        return n, [i for col in range(n) for i in range(col % 2, n - 1, 2)]
+    return n, [i for d in range(1, n) for i in reversed(range(d))]
+
+
+@given(mesh_columns(), st.data())
+@settings(max_examples=20, deadline=None)
+def test_splitter_meshes_are_unitary(mesh, data):
+    # mode m enters through mirror Mm and leaves on detector Dm; every
+    # splitter has a phase segment on its upper input
+    n, uppers = mesh
+    outputs = {f"M{m}": {} for m in range(n)}
+    tail = {m: (f"M{m}", "out") for m in range(n)}
+    params = {}
+    for k, i in enumerate(uppers):
+        outputs[tail[i][0]][tail[i][1]] = f"P{k}"
+        outputs[f"P{k}"], params[f"P{k}"] = {"out": f"B{k}:a"}, {"length": data.draw(st.floats(0.0, 1.0))}
+        outputs[tail[i + 1][0]][tail[i + 1][1]] = f"B{k}:b"
+        outputs[f"B{k}"] = {}
+        tail[i], tail[i + 1] = (f"B{k}", "out1"), (f"B{k}", "out2")
+    for m, (owner, port) in tail.items():
+        outputs[owner][port] = f"D{m}"
+    kind = {"M": "mirror", "P": "phase_segment", "B": "beamsplitter"}
+    mesh_elements = [Element(e, kind[e[0]], params.get(e, {}), out) for e, out in outputs.items()]
+    mesh_elements += [Element(f"D{m}", "detector") for m in range(n)]
+    u = np.zeros((n, n), dtype=complex)
+    for j in range(n):  # one run per input mode: column j of the transfer matrix
+        net = OpticalNetwork((Element("L", "source", outputs={"out": f"M{j}"}), *mesh_elements), "L")
+        validate(net)  # compiles; detectors outside mode j's light cone are unreachable
+        amps = _sweep(net)
+        for m in range(n):
+            if f"D{m}" in net._plan.ids:
+                col = net._plan.ids.index(f"D{m}")
+                u[m, j] = complex(amps[2, col], amps[3, col])  # the emission is vertical
+    assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-12

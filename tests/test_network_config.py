@@ -47,6 +47,8 @@ WORDS = IDS + ["ghost", "S2:b", "S2:c", "scr:in", "", "id", "in", "out", "out1",
 # ids that json.dumps escapes, or that need escaping or are not ASCII
 ODD_IDS = ['S"1', "D\\2", "Dü", "☃", "a b", "id"]
 NUMBERS = [0, 1, 2, 3, -1, 7, 0.5, -2.0, 1e-160, 1e154, 1e308, float("nan"), float("inf"), True, False, None]
+# keys an element entry does not have
+TYPOS = ["parms", "output", "kinds", "ID"]
 # small values only: a screen's bin_count sets how many bins it lays out
 junk = st.recursive(
     st.sampled_from(NUMBERS) | st.sampled_from(WORDS),
@@ -60,7 +62,7 @@ def _mutate(draw, doc):
     i = draw(st.integers(0, len(elements) - 1)) if elements else None
     entry = elements[i] if elements else None
     op = draw(st.sampled_from(["entry", "key", "drop_key", "param", "output", "decoy", "rename",
-                               "duplicate", "drop", "top"]))
+                               "duplicate", "drop", "top", "typo"]))
     if op == "top":
         doc[draw(st.sampled_from(["source", "emission", "calibrate_emission", "id"]))] = draw(
             junk | st.fixed_dictionaries({"v": st.lists(st.sampled_from(NUMBERS), max_size=3)}))
@@ -76,6 +78,8 @@ def _mutate(draw, doc):
         elements[i] = {"id": draw(st.sampled_from(IDS)), "kind": draw(st.sampled_from(WORDS))}
     elif op == "key":
         entry[draw(st.sampled_from(["id", "kind", "params", "outputs"]))] = draw(junk)
+    elif op == "typo":
+        entry[draw(st.sampled_from(TYPOS))] = draw(junk)
     elif op == "drop_key":
         entry.pop(draw(st.sampled_from(["id", "kind", "params", "outputs"])), None)
     elif op == "rename" and isinstance(entry.get("id"), str):
@@ -165,9 +169,11 @@ def _check(text: str, own: list) -> int:
     doc = json.loads(text)
     code, err, reports = _run(text)
     assert code in (0, 2), err
+    elements = doc["elements"] if isinstance(doc.get("elements"), list) else []
+    if any(isinstance(e, dict) and set(e) - {"id", "kind", "params", "outputs"} for e in elements):
+        assert code == 2, err  # an entry with an unknown key never runs
     if code == 0:
         return code
-    elements = doc["elements"] if isinstance(doc.get("elements"), list) else []
     ids = [e.get("id") if isinstance(e, dict) else None for e in elements]
 
     def owned_by(elem_id) -> set:
