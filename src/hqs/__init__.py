@@ -37,10 +37,9 @@ from .network import (
     network_echo_table,
     run_events,
     sample_counts,
-    select_transaction,
     validate,
 )
-from .rng import RandomStream, counter_word, uniform01, uniform_block
+from .rng import uniform_block
 from .wavecore import (
     HORIZONTAL,
     VERTICAL,
@@ -64,7 +63,6 @@ __all__ = [
     "HORIZONTAL",
     "OpticalNetwork",
     "PolarizedAmplitude",
-    "RandomStream",
     "TwoLevelAtom",
     "ValidationReport",
     "VERTICAL",
@@ -72,7 +70,6 @@ __all__ = [
     "born_echo",
     "calibrated",
     "compete",
-    "counter_word",
     "default_config",
     "dipole_amplitude",
     "dipole_signal",
@@ -85,9 +82,7 @@ __all__ = [
     "polarizer_reject",
     "run_events",
     "sample_counts",
-    "select_transaction",
     "time_to_level",
-    "uniform01",
     "uniform_block",
     "validate",
     "waveplate_apply",

@@ -11,8 +11,7 @@ Exit codes: 0 success, 2 configuration error, 1 internal error.
 
 Identical argv (plus seed) produces byte-identical output files; wall time
 goes to stderr, never into the payload.  Runs tally their samples on one
-thread, so HQS_THREADS, which sets the workers of the library's per-record
-run_events, changes no byte here either.
+thread, so no thread count reaches the output.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
 

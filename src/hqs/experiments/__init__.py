@@ -20,7 +20,7 @@ from .hardy import (
     x_minus_conditionals,
 )
 from .interferometer import ev_recursive, mach_zehnder, mz_network, run_mach_zehnder
-from .profiles import IntensityProfile, JointOutcomeTable, fringe_visibility
+from .profiles import IntensityProfile, fringe_visibility
 from .registry import EXPERIMENTS, RunResult
 from .slits import (
     afshar,
@@ -37,7 +37,6 @@ __all__ = [
     "CHSH_ANGLES",
     "EXPERIMENTS",
     "IntensityProfile",
-    "JointOutcomeTable",
     "RunResult",
     "afshar",
     "bubble_network",

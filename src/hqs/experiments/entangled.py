@@ -15,7 +15,6 @@ import numpy as np
 
 from ..network import EchoTable, sample_counts
 from ..wavecore import cos_deg, sin_deg
-from .profiles import JointOutcomeTable
 
 OUTCOMES = ("HH", "HV", "VH", "VV")
 CHSH_ANGLES = (0.0, 45.0, 22.5, 67.5)  # a, a', b, b'
@@ -26,32 +25,32 @@ def _analyzer_basis(theta_deg: float):
     return {"H": (c, s), "V": (-s, c)}
 
 
-def epr_table(theta_l: float, theta_r: float) -> JointOutcomeTable:
+def epr_table(theta_l: float, theta_r: float) -> EchoTable:
     """Joint outcome probabilities from the four projected amplitudes."""
     left = _analyzer_basis(theta_l)
     right = _analyzer_basis(theta_r)
-    probs = {}
+    probs = {}  # filled in sorted key order: HH, HV, VH, VV
     for ol, el in left.items():
         for orr, er in right.items():
             # <e_l (x) e_r | (|HH> + |VV>)/sqrt(2)>
             amp = (el[0] * er[0] + el[1] * er[1]) / math.sqrt(2.0)
             probs[ol + orr] = amp * amp
-    return JointOutcomeTable(probs)
+    return EchoTable(probs)
 
 
 def p_different(theta_l: float, theta_r: float) -> float:
-    t = epr_table(theta_l, theta_r).outcomes
+    t = epr_table(theta_l, theta_r).entries
     return t["HV"] + t["VH"]
 
 
 def correlation(theta_l: float, theta_r: float) -> float:
-    t = epr_table(theta_l, theta_r).outcomes
+    t = epr_table(theta_l, theta_r).entries
     return t["HH"] + t["VV"] - t["HV"] - t["VH"]
 
 
 def run_epr(theta_l: float, theta_r: float, n: int, seed: int, base_event_index: int = 0):
     table = epr_table(theta_l, theta_r)
-    counts = sample_counts(EchoTable(table.outcomes), n, seed, base_event_index)
+    counts = sample_counts(table, n, seed, base_event_index)
     return table, counts
 
 

@@ -27,7 +27,6 @@ from ..network import EchoTable, sample_counts
 from ..wavecore import (
     HORIZONTAL,
     VERTICAL,
-    PolarizedAmplitude,
     born_echo,
     polarizer_project,
     polarizer_reject,

@@ -18,7 +18,6 @@ import math
 
 from ..network import EchoTable, sample_counts
 from ..wavecore import REFLECT_FACTOR, SQRT_HALF, TRANSMIT_FACTOR
-from .profiles import JointOutcomeTable
 
 X_PLUS = (SQRT_HALF, SQRT_HALF)  # atom (z+, z-) amplitudes
 
@@ -51,21 +50,22 @@ def hardy_amplitudes(atom_state: tuple = X_PLUS) -> dict:
     return amps
 
 
-def hardy_table(atom_state: tuple = X_PLUS) -> JointOutcomeTable:
+def hardy_table(atom_state: tuple = X_PLUS) -> EchoTable:
     """Five-way outcome probabilities, x-basis atom readout in D branches."""
     amps = hardy_amplitudes(atom_state)
-    out = {"absorbed": abs(amps[("absorbed", None)]) ** 2}
+    out = {}  # filled in sorted key order
     for det in ("D1", "D2"):
         plus = amps.get((det, "z+"), 0j)
         minus = amps.get((det, "z-"), 0j)
         # x+- = (z+ +- z-)/sqrt(2)
         out[f"{det}.x+"] = abs((plus + minus) * SQRT_HALF) ** 2
         out[f"{det}.x-"] = abs((plus - minus) * SQRT_HALF) ** 2
-    return JointOutcomeTable(out)
+    out["absorbed"] = abs(amps[("absorbed", None)]) ** 2
+    return EchoTable(out)
 
 
 def detector_probabilities(atom_state: tuple = X_PLUS) -> dict:
-    t = hardy_table(atom_state).outcomes
+    t = hardy_table(atom_state).entries
     return {
         "absorbed": t["absorbed"],
         "D1": t["D1.x+"] + t["D1.x-"],
@@ -75,7 +75,7 @@ def detector_probabilities(atom_state: tuple = X_PLUS) -> dict:
 
 def x_minus_conditionals(atom_state: tuple = X_PLUS) -> dict:
     """P(atom reads x- | detector clicked)."""
-    t = hardy_table(atom_state).outcomes
+    t = hardy_table(atom_state).entries
     out = {}
     for det in ("D1", "D2"):
         total = t[f"{det}.x+"] + t[f"{det}.x-"]
@@ -85,5 +85,5 @@ def x_minus_conditionals(atom_state: tuple = X_PLUS) -> dict:
 
 def run_hardy(n: int, seed: int, atom_state: tuple = X_PLUS):
     table = hardy_table(atom_state)
-    counts = sample_counts(EchoTable(table.outcomes), n, seed)
+    counts = sample_counts(table, n, seed)
     return table, counts

@@ -44,14 +44,3 @@ class IntensityProfile:
     @property
     def total(self) -> float:
         return math.fsum(self.probabilities)
-
-
-@dataclass(frozen=True)
-class JointOutcomeTable:
-    """Outcome label -> probability for a small joint-amplitude system."""
-
-    outcomes: dict
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.outcomes.values())

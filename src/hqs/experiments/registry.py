@@ -119,7 +119,7 @@ def _epr_angles(p):
 def _run_epr(p, n, seed):
     theta_l, theta_r = _epr_angles(p)
     table = entangled.epr_table(theta_l, theta_r)
-    analytic = dict(table.outcomes)
+    analytic = dict(table.entries)
     extras = {
         "p_same_exact": analytic["HH"] + analytic["VV"],
         "p_different_exact": analytic["HV"] + analytic["VH"],
@@ -155,7 +155,7 @@ def _run_hardy(p, n, seed):
             extras["p_x_minus_given_d1"] = counts["D1.x-"] / d1
         if d2:
             extras["p_x_minus_given_d2"] = counts["D2.x-"] / d2
-    return RunResult(dict(table.outcomes), counts, n, extras)
+    return RunResult(dict(table.entries), counts, n, extras)
 
 
 def _run_eraser(p, n, seed):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -75,11 +76,8 @@ class TwoLevelAtom:
         return dipole_amplitude(self.x)
 
 
-@dataclass(frozen=True)
-class AtomPairState:
-    t: float
-    x_emitter: float
-    x_absorber: float
+# one point of a pair's trajectory; a tuple, since integrate_pair builds one per step
+AtomPairState = namedtuple("AtomPairState", "t x_emitter x_absorber")
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,8 @@ Networks are treated as immutable once validated.
 
 from __future__ import annotations
 
-import bisect
 import math
+import numbers
 import os
 from collections import Counter, namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import RandomStream, uniform_block
+from .rng import uniform_block
 from .wavecore import REFLECT_FACTOR, TRANSMIT_FACTOR, VERTICAL, PolarizedAmplitude, cos_deg, path_phase, sin_deg
 
 ECHO_SUM_TOL = 1e-9
@@ -64,6 +64,9 @@ TERMINAL_KINDS = {"blocker", "detector", "screen"}
 # the output ports each kind sends on; a source sends on all of its own
 _OUT_PORTS = {"beamsplitter": ("out1", "out2"), **dict.fromkeys(
     ("mirror", "phase_segment", "halfwave_plate", "quarterwave_double", "polarizer"), ("out",))}
+# the params each kind takes, all of them required; the other kinds take none
+_PARAMS = {"phase_segment": ("length",), "screen": ("bin_count", "half_width", "distance", "offsets"),
+           **dict.fromkeys(("halfwave_plate", "quarterwave_double", "polarizer"), ("axis",))}
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ def _compile(network: OpticalNetwork) -> _Plan:
     in_edges: dict[tuple[str, str], list[str]] = {(network.source_id, ""): []}  # input -> feeders, in slot order
     wires: dict[tuple[str, str], tuple[str, str]] = {}  # (element, output port) -> in_edges key
     for elem in network.elements:
-        if elem.kind in ("blocker", "detector") and not elem.outputs:
+        if elem.kind in ("blocker", "detector") and not elem.outputs and not elem.params:
             continue  # nothing to check
         if elem.kind not in KINDS:
             add("unknown kind", f"{elem.id}: {elem.kind}", elem.id)
@@ -247,7 +250,8 @@ def _compile(network: OpticalNetwork) -> _Plan:
             tport = tport or _default_in_port(tkind)
             if tkind == "beamsplitter" and tport not in ("a", "b"):
                 add("bad wiring", f"{elem.id}.{port} -> unknown input {tid}:{tport}", elem.id)
-            if tkind == "screen" and tport not in by_id[tid].params.get("offsets", {}):
+            offsets = by_id[tid].params.get("offsets") if tkind == "screen" else None
+            if tkind == "screen" and not (isinstance(offsets, dict) and tport in offsets):
                 add("bad wiring", f"{elem.id}.{port} -> screen {tid} has no offset for port {tport}", elem.id)
             in_edges.setdefault((tid, tport), []).append(elem.id)
             wires[elem.id, port] = (tid, tport)
@@ -346,34 +350,46 @@ def _on_cycle(stuck: set, successors: dict) -> str:
 def _check_params(elem: Element) -> list[Defect]:
     out = []
     bad = lambda detail: out.append(Defect("bad params", f"{elem.id}: {detail}", elem.id))
-    p = elem.params
-    try:
-        if elem.kind == "phase_segment":
-            length = float(p["length"])
-            if not math.isfinite(length):
-                bad("non-finite length")
-            elif length < 0:
-                bad("negative length")
-        elif elem.kind in ("halfwave_plate", "quarterwave_double", "polarizer"):
-            if not math.isfinite(float(p["axis"])):
-                bad("non-finite axis")
-        elif elem.kind == "screen":
-            if int(p["bin_count"]) < 1:
-                bad("bin_count < 1")
-            for name in ("half_width", "distance"):
-                value = float(p[name])
-                if not math.isfinite(value):
-                    bad(f"non-finite {name}")
-                elif value <= 0:
-                    bad(f"{name} <= 0")
-            if not isinstance(p["offsets"], dict):
+    p, takes = elem.params, _PARAMS.get(elem.kind, ())
+    for name in p:
+        if name not in takes:
+            bad(f"unknown param {name!r}")
+    for name in takes:
+        if name not in p:
+            bad(f"missing {name}")
+        elif name == "offsets":
+            if not isinstance(p[name], dict):
                 bad("offsets must map input ports to positions")
-            for port, offset in dict(p["offsets"]).items():
-                if not math.isfinite(float(offset)):
+                continue
+            for port, offset in p[name].items():
+                x = _number(offset)
+                if x is None:
+                    bad(f"offset for port {port} must be a number, not {offset!r}")
+                elif not math.isfinite(x):
                     bad(f"non-finite offset for port {port}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        bad(repr(exc))
+        elif (x := _number(p[name], integral=name == "bin_count")) is None:
+            bad(f"{name} must be {'an integer' if name == 'bin_count' else 'a number'}, not {p[name]!r}")
+        elif not math.isfinite(x):
+            bad(f"non-finite {name}")
+        elif name == "length" and x < 0:
+            bad("negative length")
+        elif name == "bin_count" and x < 1:
+            bad("bin_count < 1")
+        elif name in ("half_width", "distance") and x <= 0:
+            bad(f"{name} <= 0")
     return out
+
+
+def _number(value, integral: bool = False) -> float | None:
+    """value as a float, or None when it is not a number (a bool or a string
+    never is one) or, if integral, not a whole one; as in cli._read."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf if value > 0 else -math.inf
+    return None if integral and math.isfinite(x) and not x.is_integer() else x
 
 
 def _sweep(network: OpticalNetwork) -> np.ndarray:
@@ -470,22 +486,6 @@ def _pick(cum: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def select_transaction(table: EchoTable, stream: RandomStream) -> str:
-    """Choose the single absorber completing this event.
-
-    Echo weights within 1e-9 of total 1 are renormalized; anything further
-    off means the network lost amplitude and selection refuses to guess.
-    """
-    ids, probs, cum = table._selection
-    u = stream.next_uniform() * float(cum[-1])
-    idx = bisect.bisect_right(cum, u)
-    if idx >= len(ids):
-        idx = len(ids) - 1
-    while probs[idx] == 0.0:
-        idx -= 1
-    return ids[idx]
-
-
 def _tally(cum: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per-entry counts equal to np.bincount(_pick(cum, probs, u)).
 
@@ -510,8 +510,8 @@ def sample_counts(table: EchoTable, n: int, seed: int, base_event_index: int = 0
     """Tally n transaction selections without materializing event records.
 
     Each chunk of draws is tallied by sorted thresholds (_tally), never
-    picked event by event; the counts equal those of run_events and of
-    select_transaction for the same (seed, event) draws, bit for bit.
+    picked event by event; the counts equal those of run_events (_pick per
+    event) for the same (seed, event) draws, bit for bit.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -524,21 +524,6 @@ def sample_counts(table: EchoTable, n: int, seed: int, base_event_index: int = 0
     return {aid: int(c) for aid, c in zip(ids, counts)}
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("HQS_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError("HQS_THREADS must be a positive integer") from None
-        if value < 1:
-            raise ValueError("HQS_THREADS must be a positive integer")
-        return value
-    return os.cpu_count() or 1
-
-
 def run_events(
     network: OpticalNetwork,
     n: int,
@@ -549,7 +534,7 @@ def run_events(
 
     Event i draws from a random stream keyed by (seed, i) alone, so counts
     and records are bit-identical for any worker count or chunk schedule.
-    Worker threads default to HQS_THREADS, then to the available cores.
+    Worker threads default to the available cores.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -568,7 +553,8 @@ def run_events(
         return np.bincount(idx, minlength=len(ids)), recs
 
     starts = list(range(0, n, _CHUNK))
-    nworkers = min(_worker_count(workers), len(starts))
+    nworkers = (os.cpu_count() or 1) if workers is None else max(1, int(workers))
+    nworkers = min(nworkers, len(starts))
     if nworkers > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             results = list(pool.map(one_chunk, starts))

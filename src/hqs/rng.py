@@ -1,14 +1,14 @@
-"""Counter-based random streams.
+"""Counter-based random draws.
 
 Every Monte Carlo draw in the engine is a pure function of
 (seed, event_index, draw_index), so results never depend on worker
-count or chunk schedule.  The word function is a chained SplitMix64
-finalizer; 64-bit words map to [0, 1) by division with 2**64.
+count or chunk schedule.  The word is a chained SplitMix64 finalizer
+keyed by the seed, then the event, then the draw; 64-bit words map to
+[0, 1) by division with 2**64.  tests/scalar_reference.py writes the
+same word with Python integers, one draw at a time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,22 +27,11 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def counter_word(seed: int, event_index: int, draw_index: int) -> int:
-    """64-bit word keyed by (seed, event, draw), nothing else."""
-    h = _mix(seed & _MASK)
-    h = _mix((h + _GAMMA_EVENT * (event_index + 1)) & _MASK)
-    return _mix((h + _GAMMA_DRAW * (draw_index + 1)) & _MASK)
-
-
-def uniform01(seed: int, event_index: int, draw_index: int = 0) -> float:
-    return counter_word(seed, event_index, draw_index) / _SCALE
-
-
 def uniform_block(seed: int, event_indices, draw_index: int = 0) -> np.ndarray:
-    """Vectorized uniform01 over many event indices.
+    """Uniforms in [0, 1) for many event indices at one draw index.
 
-    Bit-identical to the scalar path; uint64 arithmetic wraps exactly like
-    the masked Python integers.
+    uint64 arithmetic wraps exactly like 64-bit masked integers, so each
+    value is the word of (seed, event, draw) divided by 2**64, bit for bit.
     """
     ev = np.asarray(event_indices, dtype=np.uint64)
     h0 = np.uint64(_mix(seed & _MASK))
@@ -57,16 +46,3 @@ def _mix_u64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
     return z ^ (z >> np.uint64(31))
 
-
-@dataclass
-class RandomStream:
-    """Sequential uniforms for one event; draw_index advances per draw."""
-
-    seed: int
-    event_index: int = 0
-    draw_index: int = 0
-
-    def next_uniform(self) -> float:
-        u = uniform01(self.seed, self.event_index, self.draw_index)
-        self.draw_index += 1
-        return u

@@ -308,6 +308,37 @@ def test_non_finite_params_are_config_errors_naming_the_element(tmp_path, capsys
     assert "element at byte" in err and "path explosion" not in err
 
 
+SCREEN_PARAMS = {"bin_count": 5, "half_width": 2.0, "distance": 50.0, "offsets": {"in": 0.0}}
+# an element whose params its kind does not take, or does not take in that form,
+# and the params the error must name
+MALFORMED_PARAMS = {
+    "unknown-on-mirror": ({"id": "M", "kind": "mirror", "params": {"length": 0.3, "axis": "x"},
+                           "outputs": {"out": "D"}}, ["length", "axis"]),
+    "unknown-on-detector": ({"id": "D", "kind": "detector", "params": {"bin_count": "many"}}, ["bin_count"]),
+    "bool-length": ({"id": "P", "kind": "phase_segment", "params": {"length": True}, "outputs": {"out": "D"}},
+                    ["length"]),
+    "fractional-bin_count-string-half_width": (
+        {"id": "scr", "kind": "screen", "params": dict(SCREEN_PARAMS, bin_count=2.5, half_width="3")},
+        ["bin_count", "half_width"]),
+    "number-offsets": ({"id": "scr", "kind": "screen", "params": dict(SCREEN_PARAMS, offsets=5)}, ["offsets"]),
+    "misspelt-length": ({"id": "P", "kind": "phase_segment", "params": {"lenght": 0.3}, "outputs": {"out": "D"}},
+                        ["lenght", "missing length"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PARAMS))
+def test_malformed_element_params_are_config_errors_naming_them(tmp_path, capsys, case):
+    entry, names = MALFORMED_PARAMS[case]
+    elements = [{"id": "L", "kind": "source", "outputs": {"out": entry["id"]}}, entry]
+    if entry["id"] != "D" and entry["kind"] != "screen":
+        elements.append({"id": "D", "kind": "detector"})
+    err = _run_network(tmp_path, capsys, {"source": "L", "elements": elements})
+    assert f"bad params: {entry['id']}: " in err and "element at byte" in err
+    assert "Error(" not in err
+    for name in names:
+        assert name in err, (name, err)
+
+
 def test_calibrating_a_dark_emission_is_a_config_error(tmp_path, capsys):
     doc = json.loads(MZ_JSON)
     doc.update(emission={"v": [0, 0]}, calibrate_emission=True)

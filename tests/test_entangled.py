@@ -40,7 +40,7 @@ def tensor_oracle(theta_l: float, theta_r: float) -> dict:
 
 @pytest.mark.parametrize("tl,tr", [(0, 0), (0, 22.5), (30, 75), (10, 100), (45, 0)])
 def test_joint_table_matches_tensor_oracle(tl, tr):
-    table = epr_table(tl, tr).outcomes
+    table = epr_table(tl, tr).entries
     oracle = tensor_oracle(tl, tr)
     for key in ("HH", "HV", "VH", "VV"):
         assert table[key] == pytest.approx(oracle[key], abs=1e-12)

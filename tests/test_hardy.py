@@ -70,7 +70,7 @@ def matrix_oracle() -> dict:
 
 def test_outcome_table_matches_matrix_oracle():
     oracle = matrix_oracle()
-    table = hardy_table().outcomes
+    table = hardy_table().entries
     assert set(table) == set(oracle)
     for key, value in oracle.items():
         assert table[key] == pytest.approx(value, abs=1e-12), key
@@ -94,7 +94,7 @@ def test_dark_port_conditionals():
 def test_transparent_atom_restores_the_bright_port():
     # forcing the atom into z- removes the blocker; D2 goes dark
     amps = hardy_amplitudes(atom_state=(0.0, 1.0))
-    table = hardy_table(atom_state=(0.0, 1.0)).outcomes
+    table = hardy_table(atom_state=(0.0, 1.0)).entries
     assert table["absorbed"] == pytest.approx(0.0, abs=1e-15)
     d2 = table["D2.x+"] + table["D2.x-"]
     d1 = table["D1.x+"] + table["D1.x-"]
@@ -107,7 +107,7 @@ def test_monte_carlo_outcomes():
     n = 100_000
     table, counts = run_hardy(n, seed=4)
     assert sum(counts.values()) == n
-    for key, p in table.outcomes.items():
+    for key, p in table.entries.items():
         bound = 4.0 * math.sqrt(p * (1 - p) / n)
         assert abs(counts[key] / n - p) <= bound, key
     # conditional statistics at the dark port

@@ -58,6 +58,14 @@ def test_trajectory_matches_the_logistic_closed_form():
     assert x_a[-1] > 0.999
 
 
+def test_a_pair_state_is_an_immutable_record():
+    state = mead.AtomPairState(0.5, 0.25, 0.75)
+    assert state == mead.AtomPairState(t=0.5, x_emitter=0.25, x_absorber=0.75)
+    assert (state.t, state.x_emitter, state.x_absorber) == (0.5, 0.25, 0.75)
+    with pytest.raises(AttributeError):
+        state.t = 1.0
+
+
 def test_trajectory_conserves_the_quantum():
     states = mead.integrate_pair(mead.default_config(k=2.0, x0=0.02))
     worst = max(abs(s.x_emitter + s.x_absorber - 1.0) for s in states)

@@ -23,10 +23,8 @@ from hqs.network import (
     network_echo_table,
     run_events,
     sample_counts,
-    select_transaction,
     validate,
 )
-from hqs.rng import RandomStream
 from hqs.wavecore import (
     REFLECT_FACTOR,
     TRANSMIT_FACTOR,
@@ -37,6 +35,7 @@ from hqs.wavecore import (
     polarizer_reject,
     waveplate_apply,
 )
+from scalar_reference import select
 
 
 def _scatter(elem: Element, in_port: str, amp: PolarizedAmplitude):
@@ -314,14 +313,13 @@ def test_zero_probability_absorber_is_never_selected():
     assert counts["B"] == 0
     assert counts["A"] + counts["C"] == 10_000
     # scalar route agrees
-    stream = RandomStream(seed=7, event_index=0)
-    for _ in range(200):
-        assert select_transaction(table, stream) != "B"
+    for draw in range(200):
+        assert select(table, 7, 0, draw) != "B"
 
 
 def test_select_transaction_requires_a_complete_table():
     with pytest.raises(ValueError, match="incomplete absorber set"):
-        select_transaction(EchoTable({"A": 0.2, "B": 0.2}), RandomStream(0, 0))
+        sample_counts(EchoTable({"A": 0.2, "B": 0.2}), 1, seed=0)
 
 
 def test_scalar_and_vector_selection_agree():
@@ -329,7 +327,7 @@ def test_scalar_and_vector_selection_agree():
     counts = sample_counts(table, 500, seed=33)
     scalar = {"A": 0, "B": 0, "C": 0}
     for event in range(500):
-        name = select_transaction(table, RandomStream(seed=33, event_index=event))
+        name = select(table, 33, event)
         scalar[name] += 1
     assert counts == scalar
 
@@ -343,19 +341,6 @@ def test_run_events_is_schedule_independent():
     assert [r.rng_draw for r in recs1] == [r.rng_draw for r in recs4]
     assert sum(counts1.values()) == 5000
     assert [r.event_index for r in recs1] == list(range(5000))
-
-
-def test_thread_env_var_is_validated(monkeypatch):
-    net = balanced_mz()
-    monkeypatch.setenv("HQS_THREADS", "2")
-    counts, _ = run_events(net, 1000, seed=1)
-    assert sum(counts.values()) == 1000
-    monkeypatch.setenv("HQS_THREADS", "0")
-    with pytest.raises(ValueError, match="HQS_THREADS"):
-        run_events(net, 10, seed=1)
-    monkeypatch.setenv("HQS_THREADS", "soon")
-    with pytest.raises(ValueError, match="HQS_THREADS"):
-        run_events(net, 10, seed=1)
 
 
 def test_multi_output_source_splits_evenly():
@@ -434,8 +419,7 @@ def test_event_records_replay_their_draws():
     table = network_echo_table(net)
     _, records = run_events(net, 64, seed=17)
     for rec in records:
-        stream = RandomStream(seed=17, event_index=rec.event_index)
-        assert select_transaction(table, stream) == rec.selected_absorber
+        assert select(table, 17, rec.event_index) == rec.selected_absorber
 
 
 _OPS = ("beamsplitter", "merge", "mirror", "phase_segment", "halfwave_plate",

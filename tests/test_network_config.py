@@ -49,6 +49,9 @@ ODD_IDS = ['S"1', "D\\2", "Dü", "☃", "a b", "id"]
 NUMBERS = [0, 1, 2, 3, -1, 7, 0.5, -2.0, 1e-160, 1e154, 1e308, float("nan"), float("inf"), True, False, None]
 # keys an element entry does not have
 TYPOS = ["parms", "output", "kinds", "ID"]
+# the params each kind takes; the other kinds take none
+TAKES = {"phase_segment": {"length"}, "screen": {"bin_count", "half_width", "distance", "offsets"},
+         **dict.fromkeys(["halfwave_plate", "quarterwave_double", "polarizer"], {"axis"})}
 # small values only: a screen's bin_count sets how many bins it lays out
 junk = st.recursive(
     st.sampled_from(NUMBERS) | st.sampled_from(WORDS),
@@ -164,6 +167,12 @@ def _run(text: str):
     return code, err.getvalue(), reports
 
 
+def _foreign_params(entry: dict) -> bool:
+    kind, params = entry.get("kind"), entry.get("params")
+    takes = TAKES.get(kind, set()) if isinstance(kind, str) else set()
+    return isinstance(params, dict) and bool(set(params) - takes)
+
+
 def _check(text: str, own: list) -> int:
     raw = text.encode()
     doc = json.loads(text)
@@ -172,6 +181,8 @@ def _check(text: str, own: list) -> int:
     elements = doc["elements"] if isinstance(doc.get("elements"), list) else []
     if any(isinstance(e, dict) and set(e) - {"id", "kind", "params", "outputs"} for e in elements):
         assert code == 2, err  # an entry with an unknown key never runs
+    if any(isinstance(e, dict) and _foreign_params(e) for e in elements):
+        assert code == 2, err  # nor one whose params hold a name its kind does not take
     if code == 0:
         return code
     ids = [e.get("id") if isinstance(e, dict) else None for e in elements]

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hqs.rng import RandomStream, counter_word, uniform01, uniform_block
+from hqs.rng import uniform_block
+from scalar_reference import counter_word, uniform01
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -60,11 +61,3 @@ def test_seed_and_draw_index_open_distinct_streams():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
-
-def test_stream_advances_draw_index():
-    s = RandomStream(seed=9, event_index=4)
-    first = s.next_uniform()
-    second = s.next_uniform()
-    assert first == uniform01(9, 4, 0)
-    assert second == uniform01(9, 4, 1)
-    assert s.draw_index == 2

@@ -7,21 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqs.experiments import ev_recursive, mach_zehnder
-from hqs.network import _CHUNK, EchoTable, _pick, _tally, sample_counts, select_transaction
-from hqs.rng import RandomStream, uniform_block
+from hqs.network import _CHUNK, EchoTable, _pick, _tally, sample_counts
+from hqs.rng import uniform_block
+from scalar_reference import select
 
 
 def scalar_ev(n_trials: int, seed: int) -> dict:
-    """The bomb-test recursion one photon at a time: a fresh stream per
-    trial, one select_transaction per shot."""
+    """The bomb-test recursion one photon at a time: draws keyed by the
+    trial, one scalar selection per shot at the next draw index."""
     table = mach_zehnder(blocked=True)
     detected = 0
     shots_total = 0
     for trial in range(n_trials):
-        stream = RandomStream(seed, trial)
+        draw = 0
         while True:
             shots_total += 1
-            outcome = select_transaction(table, stream)
+            outcome = select(table, seed, trial, draw)
+            draw += 1
             if outcome == "D1":
                 continue
             if outcome == "D2":
@@ -77,8 +79,12 @@ def tables(draw):
 def test_threshold_tally_equals_per_event_picks(table, n, seed, base):
     ids, probs, cum = table._selection
     u = uniform_block(seed, np.arange(base, base + n, dtype=np.uint64))
-    want = np.bincount(_pick(cum, probs, u), minlength=len(ids))
+    picks = _pick(cum, probs, u)
+    want = np.bincount(picks, minlength=len(ids))
     assert sample_counts(table, n, seed, base) == dict(zip(ids, want.tolist()))
+    # and each pick is the scalar definition's, event by event
+    for event, i in zip(range(base, base + min(n, 256)), picks.tolist()):
+        assert ids[i] == select(table, seed, event), event
 
 
 def test_tally_handles_draws_on_the_edges_of_the_table():
