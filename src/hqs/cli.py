@@ -146,15 +146,18 @@ def parse_config(text: str):
     element id and, when locatable, the byte offset in the input.
     """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON at byte {_byte_offset(text, exc.pos)}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("top-level JSON must be an object")
-    if "elements" in doc:
-        return _parse_network(doc, text)
-    if "experiment" in doc:
-        return RunSpec(**_read(RUN_FIELDS, doc, "the run description"))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed JSON at byte {_byte_offset(text, exc.pos)}: {exc.msg}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError("top-level JSON must be an object")
+        if "elements" in doc:
+            return _parse_network(doc, text)
+        if "experiment" in doc:
+            return RunSpec(**_read(RUN_FIELDS, doc, "the run description"))
+    except RecursionError:  # from json.loads, or the re-decoding and repr that name an error in a deep value
+        raise ConfigError("malformed JSON: it nests too deeply") from None
     raise ConfigError("JSON must contain either 'experiment' or 'elements'")
 
 
@@ -228,8 +231,17 @@ def _parse_network(doc: dict, text: str) -> OpticalNetwork:
     def where(i: int) -> str:
         return f"element {entries[i]['id']!r} at byte {_id_offsets(text)[i]}"
 
-    elements = []
+    elements, fields = [], _ELEMENT_FIELDS.keys()
     for i, entry in enumerate(entries):
+        # the common entry, each value of its JSON type, is built in one check; the
+        # checks and _read below run only to name what is wrong with another entry
+        if type(entry) is dict and entry.keys() <= fields:
+            eid, kind = entry.get("id"), entry.get("kind")
+            params, outputs = entry.get("params", {}), entry.get("outputs", {})
+            if (type(eid) is str and type(kind) is str and kind in KINDS and type(params) is dict
+                    and type(outputs) is dict and all(type(t) is str for t in outputs.values())):
+                elements.append(Element(eid, kind, params, outputs))
+                continue
         if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
             raise ConfigError(f"every element needs an id and a kind; elements[{i}] does not")
         if not isinstance(entry["id"], str):
@@ -524,6 +536,8 @@ def _parse_param_args(pairs) -> dict:
             params[key] = json.loads(value)
         except json.JSONDecodeError:
             params[key] = value
+        except RecursionError:
+            raise ConfigError(f"bad value for --param {key}: its JSON nests too deeply") from None
     return params
 
 

@@ -6,19 +6,17 @@ absorbed port of a polarizer).  Every element acts linearly on the Jones
 vector, so one sweep in topological order sums the amplitude arriving at
 each (element, input port) and at each absorber, and an absorber's echo
 is the squared modulus of its sum.  validate compiles each network
-object once, next to its report: structural checks, one integer slot per
-(element, input port), and one Kahn-order walk that makes each input the
-wave reaches a step (its slot, the slots it feeds, its factors) and
-fixes the sorted absorber ids and screen bin factors.  The sweep carries
-Python complex pairs from slot to slot in wavecore's operation order and
-reads the absorbers out with real ufuncs, so its echoes are bit for bit
-those of the element physics; it also finds cycles, unreachable absorbers
-and lost amplitude.  Exactly one absorber per event is then selected with
-probability proportional to its echo.  Counts-only runs never pick per
-event: each chunk of draws is scaled and sorted once, and the count of
-every absorber is read off by binary search of the sorted draws at the
-cumulative-table thresholds, which gives the same counts as picking event
-by event.
+object once, over integer element indices: the structural checks, one
+slot per (element, input port), and one Kahn-order walk that makes each
+input the wave reaches a step (its slot, the slots it feeds, its
+factors) and finds the sorted absorber ids, the screen bin factors and
+the unreachable absorbers.  The sweep carries Python complex pairs from
+slot to slot in wavecore's operation order and reads the absorbers out
+with real ufuncs, so its echoes are bit for bit those of the element
+physics.  Each event selects one absorber with probability proportional
+to its echo; counts-only runs tally sorted draws at the cumulative-table
+thresholds (_tally), which gives the counts of picking event by event.
+Networks are treated as immutable once validated.
 
 Element kinds and their scattering behavior:
 
@@ -36,8 +34,6 @@ Element kinds and their scattering behavior:
 * screen            terminal array of bins; each bin k adds the geometric
                     path factor for the slant distance from the feeding
                     input offset to the bin center
-
-Networks are treated as immutable once validated.
 """
 
 from __future__ import annotations
@@ -62,11 +58,13 @@ KINDS = {"source", "beamsplitter", "mirror", "phase_segment", "halfwave_plate", 
          "blocker", "detector", "screen"}
 TERMINAL_KINDS = {"blocker", "detector", "screen"}
 # the output ports each kind sends on; a source sends on all of its own
-_OUT_PORTS = {"beamsplitter": ("out1", "out2"), **dict.fromkeys(
-    ("mirror", "phase_segment", "halfwave_plate", "quarterwave_double", "polarizer"), ("out",))}
+_OUT_PORTS = {"beamsplitter": frozenset({"out1", "out2"}), **dict.fromkeys(
+    ("mirror", "phase_segment", "halfwave_plate", "quarterwave_double", "polarizer"), frozenset({"out"}))}
 # the params each kind takes, all of them required; the other kinds take none
 _PARAMS = {"phase_segment": ("length",), "screen": ("bin_count", "half_width", "distance", "offsets"),
            **dict.fromkeys(("halfwave_plate", "quarterwave_double", "polarizer"), ("axis",))}
+_ONE_PARAM = {k: v[0] for k, v in _PARAMS.items() if len(v) == 1}  # the kinds that take one param, and its name
+_SPLIT_A, _SPLIT_B = (TRANSMIT_FACTOR, REFLECT_FACTOR), (REFLECT_FACTOR, TRANSMIT_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -75,17 +73,6 @@ class Element:
     kind: str
     params: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
-
-
-def _parse_target(target: str) -> tuple[str, str]:
-    # "S2:b" addresses input port b; a bare id leaves the port empty, meaning
-    # the target's default input
-    elem, _, port = target.partition(":")
-    return elem, port
-
-
-def _default_in_port(kind: str) -> str:
-    return "a" if kind == "beamsplitter" else "in"
 
 
 def _screen_bins(params: dict) -> np.ndarray:
@@ -104,14 +91,14 @@ class OpticalNetwork:
 
     def __post_init__(self):
         self.elements = tuple(self.elements)
-        self._by_id = {e.id: e for e in self.elements}
+        self._index = {e.id: i for i, e in enumerate(self.elements)}  # id -> its (last) element's index
         self._report = self._plan = None  # set by validate
 
     def element(self, elem_id: str) -> Element:
-        return self._by_id[elem_id]
+        return self.elements[self._index[elem_id]]
 
     def __contains__(self, elem_id: str) -> bool:
-        return elem_id in self._by_id
+        return elem_id in self._index
 
 
 @dataclass(frozen=True)
@@ -170,9 +157,9 @@ class EventRecord:
 
 
 def validate(network: OpticalNetwork) -> ValidationReport:
-    """Structural checks, then one sweep for reachability and the echo sum;
-    collects every defect found.  The compiled form and the report stay on
-    the network for its later readers (network_echo_table, calibrated)."""
+    """The compile's structural and reachability checks, then one sweep for
+    the echo sum; collects every defect found.  The plan and the report stay
+    on the network for its later readers (network_echo_table, calibrated)."""
     if network._report is None:
         network._report = _validate(network)
     return network._report
@@ -195,9 +182,7 @@ def _validate(network: OpticalNetwork) -> ValidationReport:
     if not np.isfinite(echo).all():
         raise OverflowError("echo out of range")
     echoes = dict(zip(plan.ids, echo.tolist()))
-    for elem in network.elements:
-        if elem.kind in TERMINAL_KINDS and elem.id not in plan.reached:
-            add("unreachable absorber", elem.id, elem.id)
+    defects += [Defect("unreachable absorber", eid, eid) for eid in plan.unreachable]
     echo_sum = math.fsum(echoes.values())
     if not abs(echo_sum - 1.0) <= ECHO_SUM_TOL:
         add("echo-sum", f"{echo_sum:.6g}", None)
@@ -205,90 +190,96 @@ def _validate(network: OpticalNetwork) -> ValidationReport:
 
 
 # a compiled network (see the module docstring); steps is None when a defect keeps it from being swept
-_Plan = namedtuple("_Plan", "defects steps slots reached ids points screens", defaults=(None,) * 6)
+_Plan = namedtuple("_Plan", "defects steps slots unreachable ids points screens", defaults=(None,) * 6)
 
 
 def _compile(network: OpticalNetwork) -> _Plan:
     defects: list[Defect] = []
     add = lambda kind, detail, element: defects.append(Defect(kind, detail, element))
 
-    by_id = network._by_id
-    dups = sorted(i for i, n in Counter(e.id for e in network.elements).items() if n > 1)
-    if dups:
+    elements, index, n = network.elements, network._index, len(network.elements)
+    if len(index) != n:
+        dups = sorted(eid for eid, count in Counter(e.id for e in elements).items() if count > 1)
         add("duplicate id", ", ".join(dups), dups[0])
-    src = by_id.get(network.source_id)
+    s0 = index.get(network.source_id)  # an id names the last element that has it
+    src = None if s0 is None else elements[s0]
     if src is None or src.kind != "source":
         add("missing source", network.source_id if src is None else f"{src.id} has kind {src.kind}", network.source_id)
-    indegree = dict.fromkeys(by_id, 0)
-    successors: dict[str, list[str]] = {eid: [] for eid in by_id}
-    in_edges: dict[tuple[str, str], list[str]] = {(network.source_id, ""): []}  # input -> feeders, in slot order
-    wires: dict[tuple[str, str], tuple[str, str]] = {}  # (element, output port) -> in_edges key
-    for elem in network.elements:
-        if elem.kind in ("blocker", "detector") and not elem.outputs and not elem.params:
+    # wired: per element, (target, slot) for each output port in sorted order, None for an unknown target
+    successors, inputs, wired = ([[] for _ in elements] for _ in range(3))
+    slot, collided, odd, indegree = {(s0, ""): 0}, set(), set(), [0] * n  # slot: (element, input port) -> slot
+    if src is not None:
+        inputs[s0].append(("", 0))  # slot 0 holds the emission
+    for i, elem in enumerate(elements):
+        kind, p, outs = elem.kind, elem.params, elem.outputs
+        want = _OUT_PORTS.get(kind)
+        if not outs and not p and kind in ("blocker", "detector"):
             continue  # nothing to check
-        if elem.kind not in KINDS:
-            add("unknown kind", f"{elem.id}: {elem.kind}", elem.id)
+        if kind not in KINDS:
+            add("unknown kind", f"{elem.id}: {kind}", elem.id)
             continue
-        defects.extend(_check_params(elem))
-        ports, want = set(elem.outputs), set(_OUT_PORTS.get(elem.kind, ()))
-        if elem.kind in TERMINAL_KINDS and ports:
+        # _check_params finds nothing in no params where none are taken, nor in one finite float param in range
+        x = p.get(_ONE_PARAM[kind]) if len(p) == 1 and kind in _ONE_PARAM else None
+        if (p or kind in _PARAMS) and not (type(x) is float and math.isfinite(x) and (x >= 0 or kind != "phase_segment")):
+            defects.extend(_check_params(elem))
+        if want is not None and outs.keys() != want:
+            odd.add(i)
+            add("dangling port", f"{elem.id} needs {' and '.join(sorted(want))}, has {sorted(outs)}", elem.id)
+        elif want is None and outs and kind != "source":
             add("bad wiring", f"terminal {elem.id} has outputs", elem.id)
-        elif elem.kind == "source" and not ports:
+        elif kind == "source" and not outs:
             add("dangling port", f"source {elem.id} has no outputs", elem.id)
-        elif want and ports != want:
-            add("dangling port", f"{elem.id} needs {' and '.join(sorted(want))}, has {sorted(ports)}", elem.id)
-        for port, target in sorted(elem.outputs.items()):
-            tid, tport = _parse_target(target)
-            if tid not in by_id:
+        for port, target in sorted(outs.items()) if len(outs) > 1 else outs.items():
+            tid, _, tport = target.partition(":")
+            t = index.get(tid)
+            if t is None:
+                wired[i].append(None)
                 add("dangling port", f"{elem.id}.{port} -> {target}", elem.id)
                 continue
-            successors[elem.id].append(tid)
-            indegree[tid] += 1
-            tkind = by_id[tid].kind
-            if tkind == "source":
-                add("bad wiring", f"{elem.id}.{port} feeds source {tid}", elem.id)
-            tport = tport or _default_in_port(tkind)
-            if tkind == "beamsplitter" and tport not in ("a", "b"):
+            successors[i].append(t)
+            indegree[t] += 1
+            tkind = elements[t].kind
+            tport = tport or ("a" if tkind == "beamsplitter" else "in")
+            if tkind == "beamsplitter" and tport != "a" and tport != "b":
                 add("bad wiring", f"{elem.id}.{port} -> unknown input {tid}:{tport}", elem.id)
-            offsets = by_id[tid].params.get("offsets") if tkind == "screen" else None
-            if tkind == "screen" and not (isinstance(offsets, dict) and tport in offsets):
+            elif tkind == "source":
+                add("bad wiring", f"{elem.id}.{port} feeds source {tid}", elem.id)
+            elif tkind == "screen" and not (isinstance(o := elements[t].params.get("offsets"), dict) and tport in o):
                 add("bad wiring", f"{elem.id}.{port} -> screen {tid} has no offset for port {tport}", elem.id)
-            in_edges.setdefault((tid, tport), []).append(elem.id)
-            wires[elem.id, port] = (tid, tport)
-    for tid, tport in sorted(key for key, feeders in in_edges.items() if len(feeders) > 1):
-        add("input collision", f"{tid}:{tport} fed by {', '.join(sorted(in_edges[tid, tport]))}", tid)
+            k = slot.setdefault((t, tport), nk := len(slot))
+            if k == nk:
+                inputs[t].append((tport, k))
+            else:
+                collided.add((t, tport))
+            wired[i].append((t, k))
+    for t, tport in sorted(collided, key=lambda key: (elements[key[0]].id, key[1])):
+        tid, k = elements[t].id, slot[t, tport]
+        feeders = sorted(elements[i].id for i, ws in enumerate(wired) for w in ws if w and w[1] == k)
+        add("input collision", f"{tid}:{tport} fed by {', '.join(feeders)}", tid)
 
     # the sweep needs unique ids, known kinds, a source and usable params
     if any(d.kind in ("unknown kind", "missing source", "duplicate id", "bad params") for d in defects):
         return _Plan(tuple(defects))
 
-    order, ready = [], [eid for eid, d in indegree.items() if d == 0]
+    order, ready = [], [i for i, d in enumerate(indegree) if not d]
     while ready:
         order.append(ready.pop())
-        for tid in successors[order[-1]]:
-            indegree[tid] -= 1
-            if indegree[tid] == 0:
-                ready.append(tid)
-    stuck = {eid for eid, d in indegree.items() if d}
-    if stuck:
-        add("cycle", "network graph contains a cycle", _on_cycle(stuck, successors))
+        for t in successors[order[-1]]:
+            indegree[t] -= 1
+            if not indegree[t]:
+                ready.append(t)
+    if len(order) < n:
+        add("cycle", "network graph contains a cycle", _on_cycle(indegree, successors, elements))
         return _Plan(tuple(defects))
-    slot, inputs = {key: k for k, key in enumerate(in_edges)}, {}  # slot 0 holds the emission
-    for (tid, tport), k in slot.items():
-        inputs.setdefault(tid, []).append((tport, k))
-    reached, steps, points, screens = {network.source_id}, [], {}, []
-
-    def out(eid: str, port: str) -> int:
-        # the slot an output port feeds: its target's input, or a sink of its own
-        wire = wires.get((eid, port))
-        if wire is None:
-            return slot.setdefault((eid, port, None), len(slot))
-        reached.add(wire[0])
-        return slot[wire]
+    reached, nslots, steps, points, screens = [False] * n, len(slot), [], {}, []
+    reached[s0] = True
 
     # reached grows as the walk goes; an unreached input of a reached element holds zero
-    for elem in (by_id[eid] for eid in order if eid in reached):
-        eid, kind, p, fed = elem.id, elem.kind, elem.params, sorted(inputs[elem.id])
+    for i in order:
+        if not reached[i]:
+            continue
+        elem, fed = elements[i], inputs[i] if len(inputs[i]) == 1 else sorted(inputs[i])
+        eid, kind, p = elem.id, elem.kind, elem.params
         if kind in ("blocker", "detector"):
             points.setdefault(eid, []).extend([k for _, k in fed])
             continue
@@ -300,51 +291,62 @@ def _compile(network: OpticalNetwork) -> _Plan:
                 if not all(np.isfinite(f).all() for _, f in factors):
                     raise ValueError("non-finite amplitude component")
                 pad = len(str(len(bins) - 1))
-                screens.append((eid, [f"{eid}[{i:0{pad}d}]" for i in range(len(bins))],
+                screens.append((eid, [f"{eid}[{j:0{pad}d}]" for j in range(len(bins))],
                                 tuple((k, f.real, f.imag) for k, f in factors)))
                 continue
-            ts = tuple(out(eid, q) for q in (sorted(elem.outputs) if kind == "source" else _OUT_PORTS[kind]))
+            ts, ws = [], wired[i]  # the slot each port the kind sends on feeds: its target's input, or a sink
+            if i in odd:
+                ws = [dict(zip(sorted(elem.outputs), ws)).get(q) for q in sorted(_OUT_PORTS[kind])]
+            for w in ws:
+                if w is None:
+                    ts.append(nslots)
+                    nslots += 1
+                else:
+                    reached[w[0]] = True
+                    ts.append(w[1])
             if kind == "polarizer":
-                ts += (slot.setdefault((eid, "absorbed", None), len(slot)),)
+                ts, nslots = [*ts, nslots], nslots + 1
                 points.setdefault(f"{eid}.absorbed", []).append(ts[1])
                 op = ("polarizer", ts, (cos_deg(float(p["axis"])), sin_deg(float(p["axis"]))))
             elif kind in ("halfwave_plate", "quarterwave_double"):
                 op = ("plate", ts, (cos_deg(2.0 * float(p["axis"])), sin_deg(2.0 * float(p["axis"]))))
             elif kind == "phase_segment":
                 op = ("scale", ts, (path_phase(float(p["length"])),))
-            else:  # source, mirror; a beamsplitter's factors depend on the input
+            elif kind != "beamsplitter":  # source, mirror
                 op = ("scale", ts, tuple(1.0 / math.sqrt(len(ts)) for _ in ts) if kind == "source" else (1.0,))
         except ValueError as exc:  # finite params whose geometry overflows
             add("bad params", f"{eid}: {exc}", eid)
             return _Plan(tuple(defects))
         for port, k in fed:
             if kind == "beamsplitter":  # a transmits to out1 and reflects to out2, b the reverse
-                op = ("scale", ts, (TRANSMIT_FACTOR, REFLECT_FACTOR) if port == "a" else (REFLECT_FACTOR, TRANSMIT_FACTOR))
+                op = ("scale", ts, _SPLIT_A if port == "a" else _SPLIT_B)
             steps.append((eid, k, *op))
 
     absorbers = sorted({*points, *(b for _, bins, _ in screens for b in bins)})
     at = {aid: i for i, aid in enumerate(absorbers)}
-    return _Plan(tuple(defects), tuple(steps), len(slot), frozenset(reached), tuple(absorbers),
+    unreachable = tuple(e.id for e, r in zip(elements, reached) if not r and e.kind in TERMINAL_KINDS)
+    return _Plan(tuple(defects), tuple(steps), nslots, unreachable, tuple(absorbers),
                  (np.array([at[aid] for aid, ks in points.items() for _ in ks], dtype=np.intp),
                   np.array([k for ks in points.values() for k in ks], dtype=np.intp)),
                  tuple((np.array([at[b] for b in bins], dtype=np.intp), ports) for _, bins, ports in screens))
 
 
-def _on_cycle(stuck: set, successors: dict) -> str:
-    """One element on a cycle, given the elements the Kahn order never
-    reached: each still waits on one of them, so walking back through them
-    must repeat an element, and that element lies on a cycle."""
-    preds: dict[str, list[str]] = {eid: [] for eid in stuck}
-    for eid in stuck:
-        for tid in successors[eid]:
-            if tid in preds:
-                preds[tid].append(eid)
-    seen: set[str] = set()
-    eid = min(stuck)
-    while eid not in seen:
-        seen.add(eid)
-        eid = min(preds[eid])
-    return eid
+def _on_cycle(indegree: list, successors: list, elements: tuple) -> str:
+    """The id of one element on a cycle, given the indegrees the Kahn order
+    left: each element it never reached waits on another, so walking back
+    through them must repeat one, which lies on a cycle (the least id wins)."""
+    stuck = {i for i, d in enumerate(indegree) if d}
+    preds: dict[int, list[int]] = {i: [] for i in stuck}
+    for i in stuck:
+        for t in successors[i]:
+            if t in preds:
+                preds[t].append(i)
+    seen: set[int] = set()
+    i = min(stuck, key=lambda i: elements[i].id)
+    while i not in seen:
+        seen.add(i)
+        i = min(preds[i], key=lambda i: elements[i].id)
+    return elements[i].id
 
 
 def _check_params(elem: Element) -> list[Defect]:
@@ -459,17 +461,15 @@ def calibrated(network: OpticalNetwork) -> OpticalNetwork:
     already lossless and pass through nearly unchanged.
     """
     report = validate(network)
-    structural = [d for d in report.defects if d.kind != "echo-sum"]
-    if structural:
+    if structural := [d for d in report.defects if d.kind != "echo-sum"]:
         raise _invalid(structural)
     total = report.echo_sum
     if total is None or total <= 0:
         raise ValueError("network has no absorbed amplitude to calibrate")
     out = replace(network, emission=network.emission * (1.0 / math.sqrt(total)))
     out._plan = network._plan  # the same elements: only the emission differs
-    # an echo total near the float floor cannot be rescaled to one
-    if not validate(out).ok:
-        raise _invalid(validate(out).defects)
+    if not (report := validate(out)).ok:  # an echo total near the float floor cannot be rescaled to one
+        raise _invalid(report.defects)
     return out
 
 

@@ -631,6 +631,22 @@ def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize("where", ["params", "top", "--param"])
+def test_json_nested_too_deeply_is_a_config_error(tmp_path, capsys, depth, where):
+    deep = "[" * depth + "]" * depth
+    if where == "--param":
+        assert main(["run", "bubble", "--param", f"n_detectors={deep}"]) == 2
+    else:
+        if where == "params":
+            deep = MZ_JSON.replace('"kind": "mirror"', f'"kind": "mirror", "params": {{"x": {deep}}}', 1)
+            assert deep != MZ_JSON
+        config = tmp_path / "net.json"
+        config.write_text(deep)
+        assert main(["run", "custom", "--param", f"config={config}"]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
+
+
 WRONG_TYPES = [
     (["dynamics", "field", "--param", "positions=1,2"], "positions"),
     (["dynamics", "field", "--param", "positions=[[1],[2]]"], "positions"),

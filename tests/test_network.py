@@ -15,8 +15,6 @@ from hqs.network import (
     EchoTable,
     Element,
     OpticalNetwork,
-    _default_in_port,
-    _parse_target,
     _screen_bins,
     _sweep,
     calibrated,
@@ -36,6 +34,17 @@ from hqs.wavecore import (
     waveplate_apply,
 )
 from scalar_reference import select
+
+
+def _parse_target(target: str) -> tuple[str, str]:
+    # "S2:b" addresses input port b; a bare id leaves the port empty, meaning
+    # the target's default input
+    elem, _, port = target.partition(":")
+    return elem, port
+
+
+def _default_in_port(kind: str) -> str:
+    return "a" if kind == "beamsplitter" else "in"
 
 
 def _scatter(elem: Element, in_port: str, amp: PolarizedAmplitude):
