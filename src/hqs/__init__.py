@@ -5,8 +5,8 @@ returns a confirmation along the same paths, and exactly one absorber per
 emission event wins the transaction with probability equal to its echo
 strength.  The package splits into
 
-* wavecore          polarized amplitudes, optical element actions, echoes
-* network           directed networks, offer propagation, event sampling
+* wavecore          polarized amplitudes, splitter factors, path phases
+* network           directed networks, offer propagation and echoes, event sampling
 * experiments       canonical single-photon and two-photon configurations
 * mead              coupled-dipole avalanche dynamics of one completed transfer
 * cli               command line runner with deterministic serialization
@@ -16,7 +16,6 @@ from .mead import (
     AtomPairState,
     AvalancheConfig,
     FieldGrid,
-    TwoLevelAtom,
     beat_frequency,
     compete,
     default_config,
@@ -40,16 +39,7 @@ from .network import (
     validate,
 )
 from .rng import uniform_block
-from .wavecore import (
-    HORIZONTAL,
-    VERTICAL,
-    PolarizedAmplitude,
-    born_echo,
-    path_phase,
-    polarizer_project,
-    polarizer_reject,
-    waveplate_apply,
-)
+from .wavecore import HORIZONTAL, VERTICAL, PolarizedAmplitude, path_phase
 
 __version__ = "0.1.0"
 
@@ -63,11 +53,9 @@ __all__ = [
     "HORIZONTAL",
     "OpticalNetwork",
     "PolarizedAmplitude",
-    "TwoLevelAtom",
     "ValidationReport",
     "VERTICAL",
     "beat_frequency",
-    "born_echo",
     "calibrated",
     "compete",
     "default_config",
@@ -78,12 +66,9 @@ __all__ = [
     "logistic_exact",
     "network_echo_table",
     "path_phase",
-    "polarizer_project",
-    "polarizer_reject",
     "run_events",
     "sample_counts",
     "time_to_level",
     "uniform_block",
     "validate",
-    "waveplate_apply",
 ]

@@ -5,20 +5,13 @@ from .entangled import (
     CHSH_ANGLES,
     chsh,
     chsh_analytic,
-    chsh_grid_max,
     correlation,
     epr_table,
     p_different,
     run_epr,
 )
 from .eraser import eraser_rates, eraser_scan, eraser_visibility
-from .hardy import (
-    detector_probabilities,
-    hardy_amplitudes,
-    hardy_table,
-    run_hardy,
-    x_minus_conditionals,
-)
+from .hardy import hardy_table, run_hardy, x_minus_conditionals
 from .interferometer import ev_recursive, mach_zehnder, mz_network, run_mach_zehnder
 from .profiles import IntensityProfile, fringe_visibility
 from .registry import EXPERIMENTS, RunResult
@@ -42,11 +35,9 @@ __all__ = [
     "bubble_network",
     "chsh",
     "chsh_analytic",
-    "chsh_grid_max",
     "correlation",
     "default_half_width",
     "delayed_choice",
-    "detector_probabilities",
     "einstein_bubble",
     "epr_table",
     "eraser_rates",
@@ -55,7 +46,6 @@ __all__ = [
     "ev_recursive",
     "first_minimum_position",
     "fringe_visibility",
-    "hardy_amplitudes",
     "hardy_table",
     "mach_zehnder",
     "mz_network",

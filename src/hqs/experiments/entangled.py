@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..network import EchoTable, sample_counts
 from ..wavecore import cos_deg, sin_deg
 
@@ -87,18 +85,3 @@ def chsh(n_per_setting: int, seed: int, angles=CHSH_ANGLES) -> dict:
         "per_setting": per_setting,
     }
 
-
-def chsh_grid_max(step_deg: float = 15.0) -> float:
-    """Largest analytic |S| over all four angles on a grid; stays at or
-    below the 2*sqrt(2) bound."""
-    grid = np.arange(0.0, 180.0, step_deg)
-    # E depends only on angle differences; evaluate cos(2 delta) directly
-    e = lambda x, y: math.cos(math.radians(2.0 * (x - y)))
-    best = 0.0
-    for a in grid:
-        for ap in grid:
-            for b in grid:
-                for bp in grid:
-                    s = e(a, b) - e(a, bp) + e(ap, b) + e(ap, bp)
-                    best = max(best, abs(s))
-    return best

@@ -13,7 +13,9 @@ production histories interfere in the coincidence rate.
 * delayed=True records that the eraser sits farther from the crystal than
   the signal detector.  Nothing reads it; statistics are bit-identical.
 
-Nominal bench scale (13 cm arms, 702 nm pairs from a 351 nm pump) sets no
+Each phase's rates are the echoes of one network sweep (eraser_network):
+the two histories are the two arms between a pair of splitters.  Nominal
+bench scale (13 cm arms, 702 nm pairs from a 351 nm pump) sets no
 observable here; only the scanned phase matters.
 """
 
@@ -23,47 +25,54 @@ import math
 
 import numpy as np
 
-from ..network import EchoTable, sample_counts
-from ..wavecore import (
-    HORIZONTAL,
-    VERTICAL,
-    born_echo,
-    polarizer_project,
-    polarizer_reject,
-)
+from ..network import EchoTable, Element, OpticalNetwork, network_echo_table, sample_counts
 from .profiles import fringe_visibility
 
 ERASER_AXIS = 45.0
-OUTCOMES = ("coincidence", "idler_blocked", "no_pair")
 
 
 def default_phase_scan(points: int = 32) -> tuple:
     return tuple(np.linspace(0.0, 2.0 * math.pi, points, endpoint=False))
 
 
-def eraser_rates(qwp_in: bool, eraser_in: bool, phase: float) -> dict:
-    """Outcome probabilities at one pump-mirror phase.
+def eraser_network(qwp_in: bool, eraser_in: bool, phase: float) -> OpticalNetwork:
+    """The two production histories as the arms of a splitter pair.
 
-    Each history carries production amplitude 1/2; the first-pass history
-    reaches the idler detector as H when the plate is in, V otherwise, and
-    the second-pass history is always V with the scanned phase attached.
+    The vertical pump enters S1:a.  Arm first (S1.out1 -> S2:a) is a mirror,
+    or a half-wave plate at 45 degrees that turns the idler horizontal when
+    qwp_in is set; arm second (S1.out2 -> S2:b) is a phase segment of
+    phase/2pi wavelengths, taken mod 1 so that a negative phase is a length.  Each history reflects once on its way to S2.out2,
+    the coincidence detector, so the fringe there is (1 + cos phase)/2; S2.out1
+    is no_pair.  With eraser_in, a polarizer idler at ERASER_AXIS stands
+    before the coincidence detector, and its idler.absorbed port is the
+    blocked idler.
     """
-    first = (HORIZONTAL if qwp_in else VERTICAL) * 0.5
-    second = VERTICAL * (0.5 * complex(math.cos(phase), math.sin(phase)))
-    histories = [first, second]
-
-    if eraser_in:
-        passed = [polarizer_project(a, ERASER_AXIS) for a in histories]
-        blocked = [polarizer_reject(a, ERASER_AXIS) for a in histories]
-        p_coinc = born_echo(passed)
-        p_blocked = born_echo(blocked)
+    if qwp_in:
+        first = Element("first", "halfwave_plate", {"axis": 45.0}, {"out": "S2:a"})
     else:
-        p_coinc = born_echo(histories)
-        p_blocked = 0.0
+        first = Element("first", "mirror", outputs={"out": "S2:a"})
+    elements = [
+        Element("pump", "source", outputs={"out": "S1:a"}),
+        Element("S1", "beamsplitter", outputs={"out1": "first", "out2": "second"}),
+        first,
+        Element("second", "phase_segment", {"length": phase / math.tau % 1.0}, {"out": "S2:b"}),
+        Element("S2", "beamsplitter", outputs={"out1": "no_pair", "out2": "idler" if eraser_in else "coincidence"}),
+        Element("no_pair", "detector"),
+        Element("coincidence", "detector"),
+    ]
+    if eraser_in:
+        elements.append(Element("idler", "polarizer", {"axis": ERASER_AXIS}, {"out": "coincidence"}))
+    return OpticalNetwork(tuple(elements), "pump")
+
+
+def eraser_rates(qwp_in: bool, eraser_in: bool, phase: float) -> dict:
+    """Outcome probabilities at one pump-mirror phase: coincidence,
+    idler_blocked (zero without the eraser) and no_pair."""
+    echoes = network_echo_table(eraser_network(qwp_in, eraser_in, phase)).entries
     return {
-        "coincidence": p_coinc,
-        "idler_blocked": p_blocked,
-        "no_pair": max(0.0, 1.0 - p_coinc - p_blocked),
+        "coincidence": echoes["coincidence"],
+        "idler_blocked": echoes.get("idler.absorbed", 0.0),
+        "no_pair": echoes["no_pair"],
     }
 
 
@@ -87,19 +96,17 @@ def eraser_scan(
     phase_scan = tuple(float(p) for p in phase_scan)
     if len(phase_scan) < 8:
         raise ValueError("phase_scan needs at least 8 points")
+    if n is not None and n < 1:
+        raise ValueError("n must be >= 1")
 
-    analytic = [eraser_rates(qwp_in, eraser_in, p)["coincidence"] for p in phase_scan]
+    rates = [eraser_rates(qwp_in, eraser_in, p) for p in phase_scan]
+    analytic = [r["coincidence"] for r in rates]
     empirical = None
     if n is not None:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        empirical = []
-        for k, phase in enumerate(phase_scan):
-            probs = eraser_rates(qwp_in, eraser_in, phase)
-            counts = sample_counts(
-                EchoTable({o: probs[o] for o in OUTCOMES}), n, seed, base_event_index=k * n
-            )
-            empirical.append(counts["coincidence"] / n)
+        empirical = [
+            sample_counts(EchoTable(r), n, seed, base_event_index=k * n)["coincidence"] / n
+            for k, r in enumerate(rates)
+        ]
     curve = empirical if empirical is not None else analytic
     return {
         "phases": phase_scan,

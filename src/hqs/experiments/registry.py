@@ -142,13 +142,11 @@ def _run_chsh(p, n, seed):
 
 def _run_hardy(p, n, seed):
     table = hardy.hardy_table()
+    exact = hardy.x_minus_conditionals(table)
     counts = None
-    extras = dict(
-        p_x_minus_given_d1_exact=hardy.x_minus_conditionals()["D1"],
-        p_x_minus_given_d2_exact=hardy.x_minus_conditionals()["D2"],
-    )
+    extras = dict(p_x_minus_given_d1_exact=exact["D1"], p_x_minus_given_d2_exact=exact["D2"])
     if n:
-        _, counts = hardy.run_hardy(n, seed)
+        counts = sample_counts(table, n, seed)
         d1 = counts["D1.x+"] + counts["D1.x-"]
         d2 = counts["D2.x+"] + counts["D2.x-"]
         if d1:

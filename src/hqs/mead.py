@@ -53,29 +53,6 @@ def dipole_amplitude(x: float) -> float:
     return math.sqrt(x * (1.0 - x))
 
 
-@dataclass(frozen=True)
-class TwoLevelAtom:
-    """Ground/excited energies in eV and the excited-state fraction."""
-
-    e0: float
-    e1: float
-    x: float = 0.0
-
-    def __post_init__(self):
-        if self.e1 < self.e0:
-            raise ValueError("e1 must be at or above e0")
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError("excited fraction must lie in [0, 1]")
-
-    @property
-    def omega(self) -> float:
-        return beat_frequency(self.e1, self.e0)
-
-    @property
-    def dipole(self) -> float:
-        return dipole_amplitude(self.x)
-
-
 # one point of a pair's trajectory; a tuple, since integrate_pair builds one per step
 AtomPairState = namedtuple("AtomPairState", "t x_emitter x_absorber")
 

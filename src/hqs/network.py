@@ -11,12 +11,12 @@ slot per (element, input port), and one Kahn-order walk that makes each
 input the wave reaches a step (its slot, the slots it feeds, its
 factors) and finds the sorted absorber ids, the screen bin factors and
 the unreachable absorbers.  The sweep carries Python complex pairs from
-slot to slot in wavecore's operation order and reads the absorbers out
-with real ufuncs, so its echoes are bit for bit those of the element
-physics.  Each event selects one absorber with probability proportional
-to its echo; counts-only runs tally sorted draws at the cumulative-table
-thresholds (_tally), which gives the counts of picking event by event.
-Networks are treated as immutable once validated.
+slot to slot and reads the absorbers out with real ufuncs; every single-
+photon echo table comes from it.  Each event selects one absorber with
+probability proportional to its echo; counts-only runs tally sorted draws
+at the cumulative-table thresholds (_tally), which gives the counts of
+picking event by event.  Networks are treated as immutable once
+validated.
 
 Element kinds and their scattering behavior:
 
@@ -397,8 +397,8 @@ def _number(value, integral: bool = False) -> float | None:
 def _sweep(network: OpticalNetwork) -> np.ndarray:
     """Carry the offer wave through the compiled network once, in Kahn order,
     to the real and imaginary parts of the h and v amplitude summed at each
-    absorber: a (4, n) array in sorted-id order.  Steps use wavecore's Python
-    complex operations; sums and bin products use real ufuncs, never numpy's
+    absorber: a (4, n) array in sorted-id order.  Steps use Python complex
+    operations; sums and bin products use real ufuncs, never numpy's
     complex multiply.  Raises ValueError(element id, reason) for the first
     element whose output is not finite."""
     plan = network._plan
@@ -410,11 +410,11 @@ def _sweep(network: OpticalNetwork) -> np.ndarray:
             for t, f in zip(ts, fs):
                 h[t] += x * f
                 v[t] += y * f
-        elif kind == "plate":  # waveplate_apply
+        elif kind == "plate":  # reflect the Jones vector about the axis
             (t,), (c2, s2) = ts, fs
             h[t] += c2 * x + s2 * y
             v[t] += s2 * x - c2 * y
-        else:  # polarizer_project to the output, polarizer_reject to the absorber
+        else:  # the projection on the axis to the output, the rest to the absorber
             (t, absorbed), (c, s) = ts, fs
             coef = x * c + y * s
             h[t] += coef * c

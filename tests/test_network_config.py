@@ -12,10 +12,12 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from hqs import cli
+from test_network import lossless_networks
 
 MZ = {
     "source": "L",
@@ -210,6 +212,73 @@ def _check(text: str, own: list) -> int:
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_mutated_networks_exit_0_or_2_and_point_at_their_element(document):
     _check(*document)
+
+
+# -- one structural defect in a valid network: each kind the compile finds ----------
+
+
+def _document(net) -> dict:
+    h, v = complex(net.emission.h), complex(net.emission.v)
+    elements = [{"id": e.id, "kind": e.kind, **({"params": dict(e.params)} if e.params else {}),
+                 **({"outputs": dict(e.outputs)} if e.outputs else {})} for e in net.elements]
+    return {"source": net.source_id, "emission": {"h": [h.real, h.imag], "v": [v.real, v.imag]},
+            "elements": elements}
+
+
+@st.composite
+def structural_defects(draw, defect):
+    """(document, the defect's text up to its detail's end or a stable prefix,
+    the index of the element it names) for a lossless network with one defect."""
+    doc = _document(draw(lossless_networks()))
+    elements = doc["elements"]
+    wired = [(i, port) for i, e in enumerate(elements) for port in sorted(e.get("outputs", {}))]
+    index = {e["id"]: i for i, e in enumerate(elements)}
+    if defect == "cycle":  # a back edge from an element to its own input
+        inner = [i for i, e in enumerate(elements) if e["kind"] not in ("source", "detector")]
+        assume(inner)
+        i = draw(st.sampled_from(inner))
+        elements[i]["outputs"][draw(st.sampled_from(sorted(elements[i]["outputs"])))] = elements[i]["id"]
+        return doc, "cycle: network graph contains a cycle", i
+    if defect == "duplicate id":
+        j, k = draw(st.integers(0, len(elements) - 1)), draw(st.integers(0, len(elements)))
+        elements.insert(k, copy.deepcopy(elements[j]))
+        return doc, f"duplicate id: {elements[k]['id']}", min(k, j + (k <= j))
+    if defect == "detector source":
+        i = draw(st.sampled_from([i for i, e in enumerate(elements) if e["kind"] == "detector"]))
+        doc["source"] = elements[i]["id"]
+        return doc, f"missing source: {elements[i]['id']} has kind detector", i
+    i, port = draw(st.sampled_from(wired))
+    outputs, eid = elements[i]["outputs"], elements[i]["id"]
+    if defect == "target is a source":
+        outputs[port] = doc["source"]
+        return doc, f"bad wiring: {eid}.{port} feeds source {doc['source']}", i
+    if defect == "beamsplitter port":
+        splitters = [e["id"] for e in elements if e["kind"] == "beamsplitter"]
+        assume(splitters)
+        target = f"{draw(st.sampled_from(splitters))}:{draw(st.sampled_from(['c', 'in', 'out1']))}"
+        outputs[port] = target
+        return doc, f"bad wiring: {eid}.{port} -> unknown input {target}", i
+    # two outputs into one input
+    others = [w for w in wired if w != (i, port)]
+    assume(others)
+    j, other = draw(st.sampled_from(others))
+    outputs[port] = elements[j]["outputs"][other]
+    tid = outputs[port].partition(":")[0]
+    return doc, f"input collision: {tid}:", index[tid]
+
+
+@pytest.mark.parametrize("defect", ["cycle", "target is a source", "beamsplitter port", "duplicate id",
+                                    "detector source", "two outputs into one input"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_a_structural_defect_exits_2_naming_its_kind_and_element(defect, data):
+    doc, said, i = data.draw(structural_defects(defect))
+    text, own = _layout(doc)
+    code, err, _ = _run(text)
+    assert code == 2, err
+    found = re.search(re.escape(said) + r"[^;]* \(element at byte (\d+)\)", err)
+    assert found and int(found.group(1)) == own[i], (said, own[i], err)
+    assert text.encode()[own[i]:].startswith(b'"id"')
 
 
 # -- typed fields: the network document's own keys, run descriptions and

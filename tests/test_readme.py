@@ -1,5 +1,6 @@
-"""The README's command-line examples run as written."""
+"""The README's command-line and library examples run as written."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -32,3 +33,11 @@ def test_readme_command_exits_zero(command, tmp_path, monkeypatch, capsys):
     (tmp_path / "my_network.json").write_text(_block("### Custom networks", "json"))
     code = main(shlex.split(command)[1:])
     assert code == 0, capsys.readouterr().err
+
+
+def test_the_library_example_runs_and_its_table_is_the_one_it_prints():
+    code = _block("## Library use", "python")
+    namespace = {}
+    exec(code, namespace)
+    shown = next(line for line in code.splitlines() if line.startswith("print(table.entries)"))
+    assert namespace["mach_zehnder"](blocked=True).entries == ast.literal_eval(shown.split("#", 1)[1].strip())

@@ -1,4 +1,8 @@
-"""Polarized amplitudes, element actions, and the echo rule."""
+"""Polarized amplitudes, element actions, and the echo rule.
+
+The element operators and the echo of a list of amplitudes are the test-side
+references in optics_reference; the conventions they use are hqs.wavecore's.
+"""
 
 import cmath
 import math
@@ -9,18 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqs.network import Element, OpticalNetwork, network_echo_table
-from hqs.wavecore import (
+from hqs.wavecore import REFLECT_FACTOR, TRANSMIT_FACTOR, cos_deg, path_phase, sin_deg
+from optics_reference import (
     HORIZONTAL,
-    REFLECT_FACTOR,
-    TRANSMIT_FACTOR,
     VERTICAL,
     PolarizedAmplitude,
     born_echo,
-    cos_deg,
-    path_phase,
     polarizer_project,
     polarizer_reject,
-    sin_deg,
     waveplate_apply,
 )
 
