@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..network import (
-    _CHUNK,
     EchoTable,
     Element,
     OpticalNetwork,
@@ -15,6 +14,10 @@ from ..network import (
     sample_counts,
 )
 from ..rng import uniform_block
+
+# trials per ev_recursive block: each round pays its numpy calls once per
+# block, so its blocks stay larger than the samplers' network._CHUNK
+_EV_BLOCK = 1 << 16
 
 
 def mz_network(blocked: bool = False) -> OpticalNetwork:
@@ -52,7 +55,7 @@ def ev_recursive(n_trials: int, seed: int) -> dict:
     D2 certifies the object without touching it.  Returns the detected and
     absorbed fractions plus mean photons per trial (expected 1/3, 2/3, 4/3).
     Vectorised by rounds; shot j of trial i draws (seed, i, j).  Trials run
-    in blocks of _CHUNK, and in round j every trial still live after j D1
+    in blocks of _EV_BLOCK, and in round j every trial still live after j D1
     clicks fires its next shot.
     """
     if n_trials < 1:
@@ -61,8 +64,8 @@ def ev_recursive(n_trials: int, seed: int) -> dict:
     d1, d2 = ids.index("D1"), ids.index("D2")
     detected = 0
     shots_total = 0
-    for start in range(0, n_trials, _CHUNK):
-        live = np.arange(start, min(start + _CHUNK, n_trials), dtype=np.uint64)
+    for start in range(0, n_trials, _EV_BLOCK):
+        live = np.arange(start, min(start + _EV_BLOCK, n_trials), dtype=np.uint64)
         draw = 0
         while live.size:
             idx = _pick(cum, probs, uniform_block(seed, live, draw_index=draw))

@@ -209,9 +209,10 @@ def compete(k_list, x0_max: float, trials: int, seed: int, dt: float | None = No
     """Race several absorbers for one emitter's quantum.
 
     Each trial draws every absorber's initial transfer uniformly from
-    (0, x0_max] (stream keyed by seed, trial, absorber) and integrates
+    [0, x0_max] (stream keyed by seed, trial, absorber) and integrates
     dx_i/dt = k_i x_i (1 - sum_j x_j) with fixed-step RK4 until the
-    emitter has drained (total transfer reaches 0.99).  The leading
+    emitter has drained (total transfer reaches 0.99).  A uniform of
+    exactly 1.0 gives x0 = 0, and that absorber cannot win.  The leading
     absorber at that step wins; an exact tie goes to the lowest index and
     is flagged in the trial log.
     """
@@ -231,7 +232,7 @@ def compete(k_list, x0_max: float, trials: int, seed: int, dt: float | None = No
 
     n_abs = len(k)
     # absorber-major: row j holds absorber j of every trial.
-    # x0 in (0, x0_max]: flip the half-open uniform so zero is excluded
+    # x0 = (1 - u) x0_max: the top 1024 words give u = 1.0 and x0 = 0, which never grows
     x = np.empty((n_abs, trials))
     for j in range(n_abs):
         u = uniform_block(seed, np.arange(trials, dtype=np.uint64), draw_index=j)

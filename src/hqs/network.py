@@ -13,10 +13,11 @@ factors) and finds the sorted absorber ids, the screen bin factors and
 the unreachable absorbers.  The sweep carries Python complex pairs from
 slot to slot and reads the absorbers out with real ufuncs; every single-
 photon echo table comes from it.  Each event selects one absorber with
-probability proportional to its echo; counts-only runs tally sorted draws
-at the cumulative-table thresholds (_tally), which gives the counts of
-picking event by event.  Networks are treated as immutable once
-validated.
+probability proportional to its echo; counts-only runs tally the draws
+at the cumulative-table thresholds (_tally: a short table counts the
+draws at or above each threshold, a long one sorts them and bisects),
+which gives the counts of picking event by event.  Networks are treated
+as immutable once validated.
 
 Element kinds and their scattering behavior:
 
@@ -52,7 +53,8 @@ from .rng import uniform_block
 from .wavecore import REFLECT_FACTOR, TRANSMIT_FACTOR, VERTICAL, PolarizedAmplitude, cos_deg, path_phase, sin_deg
 
 ECHO_SUM_TOL = 1e-9
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14  # events per block: its uint64 and float64 arrays (128 KiB each) stay in cache
+_COUNT_MAX = 16  # _tally counts per threshold up to this many entries and sorts above: K*n against n*log(n)
 
 KINDS = {"source", "beamsplitter", "mirror", "phase_segment", "halfwave_plate", "quarterwave_double", "polarizer",
          "blocker", "detector", "screen"}
@@ -490,28 +492,31 @@ def _tally(cum: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per-entry counts equal to np.bincount(_pick(cum, probs, u)).
 
     _pick sends draw u to #{j : cum[j] <= u*cum[-1]}, so the draws at or
-    above entry j number those whose scaled value reaches cum[j - 1]: one
-    binary search per threshold in the sorted draws, differenced.  A zero-
-    probability entry has cum[i] == cum[i - 1] and owns no draws, so the
-    walk down off zero entries can only fire on the clamped top bucket.
+    above entry j number those whose scaled value reaches cum[j - 1]:
+    counted at each threshold for a table of at most _COUNT_MAX entries,
+    else one binary search per threshold in the sorted draws; differenced.
+    A zero-probability entry has cum[i] == cum[i - 1] and owns no draws, so
+    the walk down off zero entries can only fire on the clamped top bucket.
     """
-    scaled = np.sort(u * cum[-1])
-    above = scaled.size - np.searchsorted(scaled, cum, side="left")
+    scaled = u * cum[-1]
+    if len(cum) <= _COUNT_MAX:
+        above = np.array([np.count_nonzero(scaled >= c) for c in cum.tolist()], dtype=np.int64)
+    else:
+        scaled.sort()
+        above = scaled.size - np.searchsorted(scaled, cum, side="left")
     counts = -np.diff(above, prepend=scaled.size)
     # draws at or past the last threshold clamp to the last entry, then walk
-    # down with any zero entries above the last nonzero one
-    top = int(np.flatnonzero(probs)[-1])
-    counts[top] += counts[top + 1:].sum() + above[-1]
-    counts[top + 1:] = 0
+    # down past any zero entries above the last nonzero one
+    counts[np.flatnonzero(probs)[-1]] += above[-1]
     return counts
 
 
 def sample_counts(table: EchoTable, n: int, seed: int, base_event_index: int = 0) -> dict[str, int]:
     """Tally n transaction selections without materializing event records.
 
-    Each chunk of draws is tallied by sorted thresholds (_tally), never
-    picked event by event; the counts equal those of run_events (_pick per
-    event) for the same (seed, event) draws, bit for bit.
+    Each chunk of draws is tallied at the table's thresholds (_tally),
+    never picked event by event; the counts equal those of run_events
+    (_pick per event) for the same (seed, event) draws, bit for bit.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -4,7 +4,8 @@ Not a test module: tests import it as the reference that the vectorized
 code (rng.uniform_block, network._pick and _tally) must equal bit for bit.
 A draw is the chained SplitMix64 word of (seed, event, draw) over masked
 Python integers, divided by 2**64; a pick bisects the echo table's
-cumulative weights at the scaled draw.
+cumulative weights at the scaled draw.  event_for_word runs the word
+backwards, to the event that draws a chosen word.
 """
 
 import bisect
@@ -29,6 +30,28 @@ def counter_word(seed: int, event_index: int, draw_index: int) -> int:
     h = _mix(seed & _MASK)
     h = _mix((h + _GAMMA_EVENT * (event_index + 1)) & _MASK)
     return _mix((h + _GAMMA_DRAW * (draw_index + 1)) & _MASK)
+
+
+def _unshift(y: int, s: int) -> int:
+    # solves y = x ^ (x >> s): each pass fixes s more of the top bits
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> s)
+    return x
+
+
+def _unmix(z: int) -> int:
+    # _mix run backwards: each xorshift and each odd multiply is a bijection mod 2**64
+    z = (_unshift(z, 31) * pow(_MUL2, -1, 1 << 64)) & _MASK
+    z = (_unshift(z, 27) * pow(_MUL1, -1, 1 << 64)) & _MASK
+    return _unshift(z, 30)
+
+
+def event_for_word(seed: int, word: int, draw_index: int = 0) -> int:
+    """The event index whose word at (seed, draw_index) is the given one:
+    counter_word run backwards, so tests can reach any word on purpose."""
+    h = _unmix(word) - _GAMMA_DRAW * (draw_index + 1)
+    return ((_unmix(h & _MASK) - _mix(seed & _MASK)) * pow(_GAMMA_EVENT, -1, 1 << 64) - 1) & _MASK
 
 
 def uniform01(seed: int, event_index: int, draw_index: int = 0) -> float:

@@ -3,13 +3,14 @@ threshold tally behind sample_counts, and ev_recursive by rounds."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqs.experiments import ev_recursive, mach_zehnder
-from hqs.network import _CHUNK, EchoTable, _pick, _tally, sample_counts
+from hqs.experiments.interferometer import _EV_BLOCK
+from hqs.network import _CHUNK, _COUNT_MAX, EchoTable, _pick, _tally, sample_counts
 from hqs.rng import uniform_block
-from scalar_reference import select
+from scalar_reference import event_for_word, select
 
 
 def scalar_ev(n_trials: int, seed: int) -> dict:
@@ -44,7 +45,7 @@ def test_ev_rounds_match_the_scalar_loop(seed):
     assert ev_recursive(10_000, seed) == scalar_ev(10_000, seed)
 
 
-@pytest.mark.parametrize("n", [1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("n", [1, _EV_BLOCK, _EV_BLOCK + 1])
 def test_ev_rounds_match_the_scalar_loop_across_block_edges(n):
     assert ev_recursive(n, 3) == scalar_ev(n, 3)
 
@@ -56,7 +57,8 @@ def _table(weights) -> EchoTable:
 
 @st.composite
 def tables(draw):
-    k = draw(st.integers(1, 5000))
+    # as many short tables, tallied per threshold, as long ones, sorted
+    k = draw(st.one_of(st.integers(1, _COUNT_MAX), st.integers(_COUNT_MAX + 1, 5000)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = rng.random(k) * (rng.random(k) >= draw(st.sampled_from([0.0, 0.3, 0.9])))
     if k > 1:
@@ -69,6 +71,10 @@ def tables(draw):
     return _table(weights)
 
 
+# the word 2**64 - 1 draws exactly 1.0, which must walk down off the zero top entries
+_ONE = event_for_word(7, 2**64 - 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     tables(),
@@ -76,6 +82,8 @@ def tables(draw):
     st.integers(0, 2**63 - 1),
     st.integers(0, 2**40),
 )
+@example(_table([1.0, 0.0, 0.0]), 3, 7, _ONE - 1)
+@example(_table([1.0] * _COUNT_MAX + [0.0, 0.0]), 3, 7, _ONE - 1)
 def test_threshold_tally_equals_per_event_picks(table, n, seed, base):
     ids, probs, cum = table._selection
     u = uniform_block(seed, np.arange(base, base + n, dtype=np.uint64))
@@ -88,14 +96,16 @@ def test_threshold_tally_equals_per_event_picks(table, n, seed, base):
 
 
 def test_tally_handles_draws_on_the_edges_of_the_table():
-    # zero first entry, zero last two: the clamped top bucket must walk down
-    # to the last nonzero entry, and a draw on a threshold belongs above it
-    ids, probs, cum = _table([0.0, 0.25, 0.75, 0.0, 0.0])._selection
-    edges = [0.0, 1.0, np.nextafter(1.0, 0.0), 0.25]
-    for u in [*([x] for x in edges), edges, edges * 3]:
-        u = np.array(u)
-        want = np.bincount(_pick(cum, probs, u), minlength=len(ids))
-        assert _tally(cum, probs, u).tolist() == want.tolist(), u
+    # zero first entry, zero last ones: the clamped top bucket must walk down
+    # to the last nonzero entry, and a draw on a threshold belongs above it;
+    # on a table short enough to count per threshold and one long enough to sort
+    for weights in ([0.0, 0.25, 0.75, 0.0, 0.0], [0.0, 0.25, 0.75, *[0.0] * _COUNT_MAX]):
+        ids, probs, cum = _table(weights)._selection
+        edges = [0.0, 1.0, np.nextafter(1.0, 0.0), 0.25]
+        for u in [*([x] for x in edges), edges, edges * 3]:
+            u = np.array(u)
+            want = np.bincount(_pick(cum, probs, u), minlength=len(ids))
+            assert _tally(cum, probs, u).tolist() == want.tolist(), (len(ids), u)
 
 
 def test_tally_of_no_draws_is_all_zero():
