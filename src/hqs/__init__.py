@@ -29,12 +29,11 @@ from .mead import (
 from .network import (
     Element,
     EchoTable,
-    EventRecord,
     OpticalNetwork,
     ValidationReport,
     calibrated,
     network_echo_table,
-    run_events,
+    replay,
     sample_counts,
     validate,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "AvalancheConfig",
     "EchoTable",
     "Element",
-    "EventRecord",
     "FieldGrid",
     "HORIZONTAL",
     "OpticalNetwork",
@@ -66,7 +64,7 @@ __all__ = [
     "logistic_exact",
     "network_echo_table",
     "path_phase",
-    "run_events",
+    "replay",
     "sample_counts",
     "time_to_level",
     "uniform_block",

@@ -14,7 +14,6 @@ import math
 from ..network import EchoTable, sample_counts
 from ..wavecore import cos_deg, sin_deg
 
-OUTCOMES = ("HH", "HV", "VH", "VV")
 CHSH_ANGLES = (0.0, 45.0, 22.5, 67.5)  # a, a', b, b'
 
 

@@ -9,11 +9,10 @@ from ..network import (
     EchoTable,
     Element,
     OpticalNetwork,
-    _pick,
     network_echo_table,
+    replay,
     sample_counts,
 )
-from ..rng import uniform_block
 
 # trials per ev_recursive block: each round pays its numpy calls once per
 # block, so its blocks stay larger than the samplers' network._CHUNK
@@ -60,7 +59,8 @@ def ev_recursive(n_trials: int, seed: int) -> dict:
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    ids, probs, cum = mach_zehnder(blocked=True)._selection
+    table = mach_zehnder(blocked=True)
+    ids = sorted(table.entries)
     d1, d2 = ids.index("D1"), ids.index("D2")
     detected = 0
     shots_total = 0
@@ -68,7 +68,7 @@ def ev_recursive(n_trials: int, seed: int) -> dict:
         live = np.arange(start, min(start + _EV_BLOCK, n_trials), dtype=np.uint64)
         draw = 0
         while live.size:
-            idx = _pick(cum, probs, uniform_block(seed, live, draw_index=draw))
+            idx = replay(table, seed, live, draw)
             shots_total += live.size
             detected += int(np.count_nonzero(idx == d2))
             live = live[idx == d1]

@@ -13,11 +13,13 @@ factors) and finds the sorted absorber ids, the screen bin factors and
 the unreachable absorbers.  The sweep carries Python complex pairs from
 slot to slot and reads the absorbers out with real ufuncs; every single-
 photon echo table comes from it.  Each event selects one absorber with
-probability proportional to its echo; counts-only runs tally the draws
-at the cumulative-table thresholds (_tally: a short table counts the
-draws at or above each threshold, a long one sorts them and bisects),
-which gives the counts of picking event by event.  Networks are treated
-as immutable once validated.
+probability proportional to its echo, from a draw keyed by (seed, event,
+draw) alone: replay picks the absorber of each given event, and
+counts-only runs tally the draws at the cumulative-table thresholds
+(_tally: a short table counts the draws at or above each threshold, a
+long one sorts them and bisects), which gives the counts of replay's
+picks.  Both run on the calling thread.  Networks are treated as
+immutable once validated.
 
 Element kinds and their scattering behavior:
 
@@ -41,9 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from collections import Counter, namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -476,16 +476,14 @@ def calibrated(network: OpticalNetwork) -> OpticalNetwork:
 
 
 def _pick(cum: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    scaled = u * cum[-1]
-    idx = np.searchsorted(cum, scaled, side="right")
-    idx = np.minimum(idx, len(cum) - 1)
-    # a draw can graze the upper edge in floating point; never let that
-    # land on a zero-probability absorber
-    bad = probs[idx] == 0.0
-    while np.any(bad):
-        idx = np.where(bad, idx - 1, idx)
-        bad = probs[idx] == 0.0
-    return idx
+    """The entry each draw selects: the first j with cum[j] > u*cum[-1].
+
+    A zero entry repeats its threshold (x + 0.0 == x), so the first
+    threshold above a draw never lies on one.  Only a draw at or past
+    cum[-1] gets past every threshold, and it clamps to the last nonzero
+    entry, as _tally's top bucket does.
+    """
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), np.flatnonzero(probs)[-1])
 
 
 def _tally(cum: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -495,8 +493,7 @@ def _tally(cum: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     above entry j number those whose scaled value reaches cum[j - 1]:
     counted at each threshold for a table of at most _COUNT_MAX entries,
     else one binary search per threshold in the sorted draws; differenced.
-    A zero-probability entry has cum[i] == cum[i - 1] and owns no draws, so
-    the walk down off zero entries can only fire on the clamped top bucket.
+    A zero-probability entry has cum[i] == cum[i - 1] and owns no draws.
     """
     scaled = u * cum[-1]
     if len(cum) <= _COUNT_MAX:
@@ -505,8 +502,7 @@ def _tally(cum: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
         scaled.sort()
         above = scaled.size - np.searchsorted(scaled, cum, side="left")
     counts = -np.diff(above, prepend=scaled.size)
-    # draws at or past the last threshold clamp to the last entry, then walk
-    # down past any zero entries above the last nonzero one
+    # draws at or past the last threshold clamp to the last nonzero entry
     counts[np.flatnonzero(probs)[-1]] += above[-1]
     return counts
 
@@ -515,8 +511,8 @@ def sample_counts(table: EchoTable, n: int, seed: int, base_event_index: int = 0
     """Tally n transaction selections without materializing event records.
 
     Each chunk of draws is tallied at the table's thresholds (_tally),
-    never picked event by event; the counts equal those of run_events
-    (_pick per event) for the same (seed, event) draws, bit for bit.
+    never picked event by event; the counts equal the tally of replay's
+    picks for the same (seed, event) draws, bit for bit.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -529,6 +525,16 @@ def sample_counts(table: EchoTable, n: int, seed: int, base_event_index: int = 0
     return {aid: int(c) for aid, c in zip(ids, counts)}
 
 
+def replay(table: EchoTable, seed: int, events, draw_index: int = 0) -> np.ndarray:
+    """The absorber each event selects, as an index into the table's sorted ids.
+
+    Event i's pick is a pure function of (seed, i, draw_index), so any
+    subset of events replays exactly the picks that sample_counts tallies.
+    """
+    _, probs, cum = table._selection
+    return _pick(cum, probs, uniform_block(seed, events, draw_index))
+
+
 def run_events(
     network: OpticalNetwork,
     n: int,
@@ -537,38 +543,14 @@ def run_events(
 ) -> tuple[dict[str, int], list[EventRecord]]:
     """Run n independent single-photon events through a validated network.
 
-    Event i draws from a random stream keyed by (seed, i) alone, so counts
-    and records are bit-identical for any worker count or chunk schedule.
-    Worker threads default to the available cores.
+    Event i draws from a random stream keyed by (seed, i) alone.  Every
+    event runs on the calling thread; workers is accepted and ignored.
     """
+    del workers
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = network_echo_table(network)
-    ids, probs, cum = table._selection
-
-    def one_chunk(start: int) -> tuple[np.ndarray, list[EventRecord]]:
-        stop = min(start + _CHUNK, n)
-        ev = np.arange(start, stop, dtype=np.uint64)
-        u = uniform_block(seed, ev)
-        idx = _pick(cum, probs, u)
-        recs = [
-            EventRecord(int(e), ids[int(i)], float(x))
-            for e, i, x in zip(ev, idx, u)
-        ]
-        return np.bincount(idx, minlength=len(ids)), recs
-
-    starts = list(range(0, n, _CHUNK))
-    nworkers = (os.cpu_count() or 1) if workers is None else max(1, int(workers))
-    nworkers = min(nworkers, len(starts))
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(one_chunk, starts))
-    else:
-        results = [one_chunk(s) for s in starts]
-
-    counts = np.zeros(len(ids), dtype=np.int64)
-    records: list[EventRecord] = []
-    for c, recs in results:
-        counts += c
-        records.extend(recs)
-    return {aid: int(c) for aid, c in zip(ids, counts)}, records
+    ids, probs, cum = network_echo_table(network)._selection
+    u = uniform_block(seed, np.arange(n, dtype=np.uint64))
+    idx = _pick(cum, probs, u)
+    records = [EventRecord(e, ids[i], x) for e, i, x in zip(range(n), idx.tolist(), u.tolist())]
+    return dict(zip(ids, np.bincount(idx, minlength=len(ids)).tolist())), records

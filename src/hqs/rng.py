@@ -1,12 +1,13 @@
 """Counter-based random draws.
 
 Every Monte Carlo draw in the engine is a pure function of
-(seed, event_index, draw_index), so results never depend on worker
-count or chunk schedule.  The word is a chained SplitMix64 finalizer
-keyed by the seed, then the event, then the draw; a 64-bit word w maps
-to w / 2**64 rounded to the nearest float, which lies in [0, 1]: the
-top 1024 words round up to 1.0.  tests/scalar_reference.py writes the
-same word with Python integers, one draw at a time.
+(seed, event_index, draw_index), so results never depend on chunk
+schedule, and any subset of events replays its own draws.  The word is
+a chained SplitMix64 finalizer keyed by the seed, then the event, then
+the draw; a 64-bit word w maps to w / 2**64 rounded to the nearest
+float, which lies in [0, 1]: the top 1024 words round up to 1.0.
+tests/scalar_reference.py writes the same word with Python integers,
+one draw at a time.
 """
 
 from __future__ import annotations

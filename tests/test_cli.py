@@ -147,6 +147,19 @@ def test_envelope_analytic_only_run():
     assert envelope["analytic"]["D1"] == pytest.approx(1.0)
 
 
+def test_run_spec_calls_the_registry_entry_it_finds_at_run_time(monkeypatch):
+    # an entry swapped into the registry after import, as a tracer does, is the one that runs
+    import dataclasses
+
+    calls = []
+    entry = EXPERIMENTS["mz"]
+    monkeypatch.setitem(EXPERIMENTS, "mz", dataclasses.replace(
+        entry, run=lambda *args: calls.append(args) or entry.run(*args)))
+    envelope = run_spec(RunSpec("mz", {"blocked": True}, 1000, 3))
+    assert len(calls) == 1
+    assert sum(e["count"] for e in envelope["entries"]) == 1000
+
+
 def test_emitted_json_is_stable_and_sorted():
     envelope = run_spec(RunSpec("mz", {"blocked": True}, 1000, 3))
     blob1 = emit_results(envelope, "json")

@@ -1,5 +1,6 @@
 """Vectorised samplers against their event-by-event definitions: the
-threshold tally behind sample_counts, and ev_recursive by rounds."""
+threshold tally behind sample_counts, replay's picks, and ev_recursive
+by rounds."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from hqs.experiments import ev_recursive, mach_zehnder
 from hqs.experiments.interferometer import _EV_BLOCK
-from hqs.network import _CHUNK, _COUNT_MAX, EchoTable, _pick, _tally, sample_counts
+from hqs.network import _CHUNK, _COUNT_MAX, EchoTable, _pick, _tally, replay, sample_counts
 from hqs.rng import uniform_block
 from scalar_reference import event_for_word, select
 
@@ -71,8 +72,9 @@ def tables(draw):
     return _table(weights)
 
 
-# the word 2**64 - 1 draws exactly 1.0, which must walk down off the zero top entries
+# the word 2**64 - 1 draws exactly 1.0, which must land on the last nonzero entry, below the zero top ones
 _ONE = event_for_word(7, 2**64 - 1)
+_ONE_AT_3 = event_for_word(7, 2**64 - 1, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -81,18 +83,24 @@ _ONE = event_for_word(7, 2**64 - 1)
     st.integers(0, 3 * _CHUNK),
     st.integers(0, 2**63 - 1),
     st.integers(0, 2**40),
+    st.integers(0, 7),
 )
-@example(_table([1.0, 0.0, 0.0]), 3, 7, _ONE - 1)
-@example(_table([1.0] * _COUNT_MAX + [0.0, 0.0]), 3, 7, _ONE - 1)
-def test_threshold_tally_equals_per_event_picks(table, n, seed, base):
+@example(_table([1.0, 0.0, 0.0]), 3, 7, _ONE - 1, 0)
+@example(_table([1.0] * _COUNT_MAX + [0.0, 0.0]), 3, 7, _ONE - 1, 0)
+@example(_table([1.0, 0.0, 0.0]), 3, 7, _ONE_AT_3 - 1, 3)
+def test_threshold_tally_equals_per_event_picks(table, n, seed, base, draw):
     ids, probs, cum = table._selection
-    u = uniform_block(seed, np.arange(base, base + n, dtype=np.uint64))
-    picks = _pick(cum, probs, u)
+    events = np.arange(base, base + n, dtype=np.uint64)
+    picks = _pick(cum, probs, uniform_block(seed, events))
     want = np.bincount(picks, minlength=len(ids))
     assert sample_counts(table, n, seed, base) == dict(zip(ids, want.tolist()))
-    # and each pick is the scalar definition's, event by event
-    for event, i in zip(range(base, base + min(n, 256)), picks.tolist()):
+    assert replay(table, seed, events).tolist() == picks.tolist()
+    # and each pick is the scalar definition's, event by event, at draw 0
+    # and at a later draw index, as ev_recursive's rounds replay them
+    later = replay(table, seed, events[:256], draw)
+    for event, i, j in zip(range(base, base + min(n, 256)), picks.tolist(), later.tolist()):
         assert ids[i] == select(table, seed, event), event
+        assert ids[j] == select(table, seed, event, draw), (event, draw)
 
 
 def test_tally_handles_draws_on_the_edges_of_the_table():
