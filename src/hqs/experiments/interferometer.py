@@ -17,6 +17,10 @@ from ..network import (
 # trials per ev_recursive block: each round pays its numpy calls once per
 # block, so its blocks stay larger than the samplers' network._CHUNK
 _EV_BLOCK = 1 << 16
+# rounds after which ev_recursive gives up: a trial is still live after 64
+# rounds with probability P(D1)^64 = 4^-64, so reaching the cap means the
+# draws repeat across rounds, and the loop would otherwise never end
+_EV_MAX_ROUNDS = 64
 
 
 def mz_network(blocked: bool = False) -> OpticalNetwork:
@@ -55,7 +59,8 @@ def ev_recursive(n_trials: int, seed: int) -> dict:
     absorbed fractions plus mean photons per trial (expected 1/3, 2/3, 4/3).
     Vectorised by rounds; shot j of trial i draws (seed, i, j).  Trials run
     in blocks of _EV_BLOCK, and in round j every trial still live after j D1
-    clicks fires its next shot.
+    clicks fires its next shot; a block still live after _EV_MAX_ROUNDS
+    rounds raises RuntimeError.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -68,6 +73,8 @@ def ev_recursive(n_trials: int, seed: int) -> dict:
         live = np.arange(start, min(start + _EV_BLOCK, n_trials), dtype=np.uint64)
         draw = 0
         while live.size:
+            if draw == _EV_MAX_ROUNDS:
+                raise RuntimeError(f"ev_recursive: {live.size} trials still live after {draw} rounds")
             idx = replay(table, seed, live, draw)
             shots_total += live.size
             detected += int(np.count_nonzero(idx == d2))

@@ -20,6 +20,7 @@ import math
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -147,7 +148,9 @@ def integrate_pair(config: AvalancheConfig) -> list[AtomPairState]:
         x_a += sixth * slope
         xs_e.append(x_e)
         xs_a.append(x_a)
-    return [AtomPairState(i * h, e, a) for i, (e, a) in enumerate(zip(xs_e, xs_a))]
+    # tuple.__new__ builds each namedtuple without a Python-level __new__ call; t = h * i
+    times = map(h.__mul__, range(steps + 1))
+    return list(map(tuple.__new__, repeat(AtomPairState), zip(times, xs_e, xs_a)))
 
 
 def logistic_exact(t, k: float, x0: float):
@@ -177,18 +180,19 @@ def time_to_level(k: float, x0: float, level: float) -> float:
     return math.log(level * (1.0 - x0) / (x0 * (1.0 - level))) / k
 
 
-def _absorber_total(x: np.ndarray) -> np.ndarray:
+def _absorber_total(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-trial sum over the absorber rows of an absorber-major block.
 
     Adds the rows in the order numpy's pairwise summation adds the entries
     of one contiguous row: left to right below 8 terms, eight interleaved
     partial sums up to 128, halves split at a multiple of 8 beyond.  The
     total is therefore bit-identical to summing each trial's absorbers in a
-    trial-major array, at the cost of whole-row adds.
+    trial-major array, at the cost of whole-row adds.  It is written into
+    out when one is given (which must not overlap x).
     """
     n = len(x)
     if n < 8:
-        total = x[0] + x[1]
+        total = np.add(x[0], x[1], out=out)
         for row in x[2:]:
             total += row
         return total
@@ -197,12 +201,12 @@ def _absorber_total(x: np.ndarray) -> np.ndarray:
         acc = x[:8].copy()
         for i in range(8, tail, 8):
             acc += x[i:i + 8]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        total = np.add((acc[0] + acc[1]) + (acc[2] + acc[3]), (acc[4] + acc[5]) + (acc[6] + acc[7]), out=out)
         for row in x[tail:]:
             total += row
         return total
     half = n // 2 - (n // 2) % 8
-    return _absorber_total(x[:half]) + _absorber_total(x[half:])
+    return np.add(_absorber_total(x[:half]), _absorber_total(x[half:]), out=out)
 
 
 def compete(k_list, x0_max: float, trials: int, seed: int, dt: float | None = None) -> dict:
@@ -215,6 +219,11 @@ def compete(k_list, x0_max: float, trials: int, seed: int, dt: float | None = No
     exactly 1.0 gives x0 = 0, and that absorber cannot win.  The leading
     absorber at that step wins; an exact tie goes to the lowest index and
     is flagged in the trial log.
+
+    The trials advance together as one absorber-major block, stepped in
+    place through stage buffers reused every step.  A finished trial's
+    column is zeroed, and dropped once half the block has finished; every
+    rounding is the per-trial formula's, so trial i depends on (seed, i) alone.
     """
     k = np.asarray(list(k_list), dtype=float)
     if k.ndim != 1 or len(k) < 2:
@@ -243,33 +252,46 @@ def compete(k_list, x0_max: float, trials: int, seed: int, dt: float | None = No
     ties = np.zeros(trials, dtype=bool)
     t = 0.0
     max_steps = int(math.ceil(60.0 / (float(k.min()) * dt)))
-    k_col = k[:, None]
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def rhs(state, total):
-        return k_col * state * (1.0 - total)
+    def buffers(m):
+        # k1..k4, the stage state, 1 - total and k as a whole block (faster than a column)
+        return (*np.empty((5, n_abs, m)), np.empty(m), np.repeat(k[:, None], m, axis=1))
 
-    # The whole working block advances every step; a finished column is
-    # recorded once and then only dragged along until the block is compacted,
-    # so each trial's trajectory is independent of which others share it.
+    def rate(out, state):
+        # k_i * state * (1 - total), rounded in that order, into out
+        np.subtract(1.0, total, out=one_minus)
+        np.multiply(k_block, state, out=out)
+        out *= one_minus
+
+    # A finished column is recorded once and zeroed: it stays 0 and never
+    # reaches the completion level again.  live still marks the unfinished
+    # columns, since a trial whose every x0 is 0 never finishes and must fail.
     cols = np.arange(trials)
     live = np.ones(trials, dtype=bool)
     n_live = trials
     total = _absorber_total(x)
+    k1, k2, k3, k4, s, one_minus, k_block = buffers(trials)
     for _ in range(max_steps):
-        k1 = rhs(x, total)
-        s = x + 0.5 * dt * k1
-        k2 = rhs(s, _absorber_total(s))
-        s = x + 0.5 * dt * k2
-        k3 = rhs(s, _absorber_total(s))
-        s = x + dt * k3
-        k4 = rhs(s, _absorber_total(s))
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        total = _absorber_total(x)
+        rate(k1, x)
+        for k_prev, k_next, c in ((k1, k2, half), (k2, k3, half), (k3, k4, dt)):
+            np.multiply(k_prev, c, out=s)
+            s += x
+            _absorber_total(s, total)
+            rate(k_next, s)
+        # x += (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4), one rounding at a time
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= sixth
+        x += k2
+        _absorber_total(x, total)
         t += dt
-        done = (total >= COMPLETION_LEVEL) & live
-        if not done.any():
+        if total.max() < COMPLETION_LEVEL:
             continue
-        j = np.flatnonzero(done)
+        j = np.flatnonzero(total >= COMPLETION_LEVEL)
         finished = x[:, j]
         lead = np.argmax(finished, axis=0)
         best = finished[lead, np.arange(len(j))]
@@ -278,6 +300,7 @@ def compete(k_list, x0_max: float, trials: int, seed: int, dt: float | None = No
         win_time[trial] = t
         # a tie means some other absorber matches the leader exactly
         ties[trial] = np.count_nonzero(finished == best, axis=0) > 1
+        x[:, j] = 0.0
         live[j] = False
         n_live -= len(j)
         if n_live == 0:
@@ -285,6 +308,7 @@ def compete(k_list, x0_max: float, trials: int, seed: int, dt: float | None = No
         if 2 * n_live < len(cols):
             x, total, cols = x[:, live], total[live], cols[live]
             live = np.ones(n_live, dtype=bool)
+            k1, k2, k3, k4, s, one_minus, k_block = buffers(n_live)
     if n_live:
         raise RuntimeError("competition failed to complete; raise t cap")
 

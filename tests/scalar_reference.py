@@ -4,8 +4,8 @@ Not a test module: tests import it as the reference that the vectorized
 code (rng.uniform_block, network._pick and _tally) must equal bit for bit.
 A draw is the chained SplitMix64 word of (seed, event, draw) over masked
 Python integers, divided by 2**64; a pick bisects the echo table's
-cumulative weights at the scaled draw.  event_for_word runs the word
-backwards, to the event that draws a chosen word.
+cumulative weights at the scaled draw.  event_for_word and seed_for_word
+run the word backwards, to the event or the seed that draws a chosen word.
 """
 
 import bisect
@@ -52,6 +52,13 @@ def event_for_word(seed: int, word: int, draw_index: int = 0) -> int:
     counter_word run backwards, so tests can reach any word on purpose."""
     h = _unmix(word) - _GAMMA_DRAW * (draw_index + 1)
     return ((_unmix(h & _MASK) - _mix(seed & _MASK)) * pow(_GAMMA_EVENT, -1, 1 << 64) - 1) & _MASK
+
+
+def seed_for_word(word: int, event_index: int = 0, draw_index: int = 0) -> int:
+    """The seed whose word at (event_index, draw_index) is the given one:
+    counter_word run backwards over the seed."""
+    h = _unmix(word) - _GAMMA_DRAW * (draw_index + 1)
+    return _unmix((_unmix(h & _MASK) - _GAMMA_EVENT * (event_index + 1)) & _MASK)
 
 
 def uniform01(seed: int, event_index: int, draw_index: int = 0) -> float:

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqs import mead
+from hqs.rng import uniform_block
+from scalar_reference import seed_for_word
 
 # CODATA electron volt-hertz relationship nu = e/h; the module derives
 # omega from e/hbar, so 2 pi nu is an independent route to the same number
@@ -179,6 +181,11 @@ COMPETE_GOLDENS = {
                      "86d232383f3fdb32394e2c373801714a4f2e1ae0a2dc8bd2ee85c6a09075e08e"),
     "four-dt": (([0.9, 1.0, 1.2, 1.05], 0.01, 200, 13, 0.004),
                 "636fb621d0578a3241f29fa79f02219d0a3c3f63d860d37a02f632c6e65c23c6"),
+    # 8 or more absorbers: the path whose totals take _absorber_total's pairwise order
+    "nine": (([1.0, 1.1, 0.9, 1.2, 0.95, 1.05, 1.15, 0.85, 1.3], 0.01, 40, 17, None),
+             "c9c5fe4a7145cbe0175757b3223e444c9314ceec949c501ff55a5f3c96697fef"),
+    "130": (([1.0 + 0.005 * i for i in range(130)], 0.02, 30, 19, None),
+            "cc81b58658449aea32c5ce7171fb335e7aa2cd8fb99be472a9880d4f4581883d"),
 }
 
 PAIR_GOLDENS = {
@@ -210,8 +217,13 @@ def test_integrate_pair_trajectory_is_pinned(config, digest):
 @pytest.mark.parametrize("n_abs", [2, 3, 4, 7, 8, 13, 128, 131, 300])
 def test_absorber_total_matches_the_trial_major_sum(n_abs):
     trial_major = np.random.default_rng(n_abs).random((500, n_abs)) * 0.3
-    total = mead._absorber_total(np.ascontiguousarray(trial_major.T))
+    block = np.ascontiguousarray(trial_major.T)
+    total = mead._absorber_total(block)
     assert np.array_equal(total, trial_major.sum(axis=1))
+    # compete's stage totals go into a reused buffer, in the same order
+    out = np.empty(500)
+    assert mead._absorber_total(block, out=out) is out
+    assert np.array_equal(out, total)
 
 
 @settings(max_examples=8, deadline=None)
@@ -227,6 +239,31 @@ def test_each_trial_is_independent_of_the_trial_count(k_list, n, data, seed):
     m = data.draw(st.integers(1, n - 1))
     short = mead.compete(k_list, 0.01, m, seed)["log"]
     assert short == mead.compete(k_list, 0.01, n, seed)["log"][:m]
+
+
+def test_an_absorber_that_starts_at_zero_never_wins():
+    # trial 0's absorber 0 draws the top word: u = 1.0, so its x0 is exactly 0
+    seed = seed_for_word(2**64 - 1, event_index=0, draw_index=0)
+    assert seed == 7552269692723959508
+    assert uniform_block(seed, np.zeros(1, dtype=np.uint64), draw_index=0)[0] == 1.0
+    result = mead.compete([1.0, 1.0], 0.01, 16, seed)
+    assert result["log"][0] == {"trial": 0, "winner": 1, "t": 10.27999999999987, "tie": False}
+    assert sum(result["win_counts"]) == 16
+    assert _sha256(json.dumps(result, sort_keys=True)) == (
+        "9aa9223e84c2df1e44dd92546f363a6fca96665ed2ca42ae013e32322b4bdaf1")
+
+
+def test_a_trial_with_every_absorber_at_zero_fails_to_complete(monkeypatch):
+    # trial 0 never grows while the others finish and are zeroed in the
+    # block; the unfinished trial must still be reported
+    def draws(seed, events, draw_index):
+        u = uniform_block(seed, events, draw_index)
+        u[0] = 1.0
+        return u
+
+    monkeypatch.setattr(mead, "uniform_block", draws)
+    with pytest.raises(RuntimeError, match="failed to complete"):
+        mead.compete([1.0, 2.0, 1.5], 0.01, 5, seed=0)
 
 
 def test_competition_input_validation():

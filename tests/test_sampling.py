@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hqs.experiments import ev_recursive, mach_zehnder
+from hqs.experiments import ev_recursive, interferometer, mach_zehnder
 from hqs.experiments.interferometer import _EV_BLOCK
 from hqs.network import _CHUNK, _COUNT_MAX, EchoTable, _pick, _tally, replay, sample_counts
 from hqs.rng import uniform_block
@@ -49,6 +49,17 @@ def test_ev_rounds_match_the_scalar_loop(seed):
 @pytest.mark.parametrize("n", [1, _EV_BLOCK, _EV_BLOCK + 1])
 def test_ev_rounds_match_the_scalar_loop_across_block_edges(n):
     assert ev_recursive(n, 3) == scalar_ev(n, 3)
+
+
+def test_ev_rounds_that_repeat_their_draws_raise(monkeypatch):
+    # replay at draw 0 every round: the trials that click D1 once click it
+    # forever, and the round cap must end the loop
+    def first_draw(table, seed, events, draw):
+        return replay(table, seed, events)
+
+    monkeypatch.setattr(interferometer, "replay", first_draw)
+    with pytest.raises(RuntimeError, match="still live after 64 rounds"):
+        ev_recursive(1_000, 0)
 
 
 def _table(weights) -> EchoTable:
