@@ -337,10 +337,12 @@ def _key_text(key) -> str:
 
 
 class _FloatTexts(dict):
-    """float -> JSON text.  Zeros are never stored: 0.0 and -0.0 hash alike but print differently."""
+    """float -> JSON text; _dumps seeds ±inf.  Zeros are never stored: 0.0 and -0.0 hash alike, print apart."""
 
-    def __missing__(self, x):
-        s = _float_text(x)
+    def __missing__(self, x):  # only exact floats are looked up, so repr is float.__repr__
+        if x != x:
+            return "NaN"
+        s = repr(x)
         if x:
             self[x] = s
         return s
@@ -378,7 +380,7 @@ def _dumps(obj) -> str:
     sharing one str key set sorts and quotes its keys once, and a column of
     one exact type is one map.  Nonzero float texts are memoised per call.
     """
-    floats = _FloatTexts()
+    floats = _FloatTexts({math.inf: "Infinity", -math.inf: "-Infinity"})
     writers = {float: floats.__getitem__, str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__}
 
     def column(values, pad):

@@ -16,10 +16,8 @@ def bubble_network(n_detectors: int = DEFAULT_DETECTORS) -> OpticalNetwork:
     if n_detectors < 2:
         raise ValueError("n_detectors must be >= 2")
     pad = len(str(n_detectors - 1))
-    det_ids = [f"D{k:0{pad}d}" for k in range(n_detectors)]
-    elements = [
-        Element("src", "source", outputs={f"out{k:0{pad}d}": d for k, d in enumerate(det_ids)})
-    ]
+    det_ids = ["D" + str(k).zfill(pad) for k in range(n_detectors)]
+    elements = [Element("src", "source", outputs={"out" + d[1:]: d for d in det_ids})]  # port outK feeds DK
     elements += [Element(d, "detector") for d in det_ids]
     return OpticalNetwork(tuple(elements), "src")
 

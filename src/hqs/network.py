@@ -1,25 +1,26 @@
 """Directed optical networks and the stochastic transaction engine.
 
-A network is a DAG of elements carrying a single photon's offer wave from
-one source to a set of absorbers (detectors, blockers, screen bins, the
-absorbed port of a polarizer).  Every element acts linearly on the Jones
-vector, so one sweep in topological order sums the amplitude arriving at
-each (element, input port) and at each absorber, and an absorber's echo
-is the squared modulus of its sum.  validate compiles each network
-object once, over integer element indices: the structural checks, one
-slot per (element, input port), and one Kahn-order walk that makes each
-input the wave reaches a step (its slot, the slots it feeds, its
-factors) and finds the sorted absorber ids, the screen bin factors and
-the unreachable absorbers.  The sweep carries Python complex pairs from
-slot to slot and reads the absorbers out with real ufuncs; every single-
-photon echo table comes from it.  Each event selects one absorber with
-probability proportional to its echo, from a draw keyed by (seed, event,
-draw) alone: replay picks the absorber of each given event, and
-counts-only runs tally the draws at the cumulative-table thresholds
-(_tally: a short table counts the draws at or above each threshold, a
-long one sorts them and bisects), which gives the counts of replay's
-picks.  Both run on the calling thread.  Networks are treated as
-immutable once validated.
+A network is a DAG of elements carrying a single photon's offer wave
+from one source to a set of absorbers (detectors, blockers, screen bins,
+the absorbed port of a polarizer).  Every element acts linearly on the
+Jones vector, so one sweep in topological order sums the amplitude
+arriving at each (element, input port) and at each absorber, and an
+absorber's echo is the squared modulus of its sum.  validate compiles
+each network object once, over integer element indices: the structural
+checks, one slot per (element, input port), and one Kahn-order walk that
+makes each input the wave reaches a step (its slot, the slots it feeds,
+its factors) and finds the sorted absorber ids, the screen bin factors
+and the unreachable absorbers.  Bare detectors and blockers (no params,
+no outputs) stay out of the walk.  The sweep carries Python complex
+pairs from slot to slot and reads the absorbers out with real ufuncs;
+every single-photon echo table comes from it.  Each event selects one
+absorber with probability proportional to its echo, from a draw keyed by
+(seed, event, draw) alone: replay picks the absorber of each given
+event, and counts-only runs tally the draws at the cumulative-table
+thresholds (_tally: a short table counts the draws at or above each
+threshold, a long one sorts them and bisects), which gives the counts of
+replay's picks.  Both run on the calling thread.  Networks are treated
+as immutable once validated.
 
 Element kinds and their scattering behavior:
 
@@ -46,6 +47,8 @@ import numbers
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import compress
+from operator import not_
 
 import numpy as np
 
@@ -67,6 +70,7 @@ _PARAMS = {"phase_segment": ("length",), "screen": ("bin_count", "half_width", "
            **dict.fromkeys(("halfwave_plate", "quarterwave_double", "polarizer"), ("axis",))}
 _ONE_PARAM = {k: v[0] for k, v in _PARAMS.items() if len(v) == 1}  # the kinds that take one param, and its name
 _SPLIT_A, _SPLIT_B = (TRANSMIT_FACTOR, REFLECT_FACTOR), (REFLECT_FACTOR, TRANSMIT_FACTOR)
+_FRESH, _setattr = object(), object.__setattr__  # Element.__init__'s new-dict default and its one store
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,13 @@ class Element:
     kind: str
     params: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
+
+    def __init__(self, id: str, kind: str, params: dict = _FRESH, outputs: dict = _FRESH):
+        # object.__setattr__ looked up once; storing into self.__dict__ builds faster but slows every read ~4x
+        _setattr(self, "id", id)
+        _setattr(self, "kind", kind)
+        _setattr(self, "params", {} if params is _FRESH else params)
+        _setattr(self, "outputs", {} if outputs is _FRESH else outputs)
 
 
 def _screen_bins(params: dict) -> np.ndarray:
@@ -207,16 +218,20 @@ def _compile(network: OpticalNetwork) -> _Plan:
     src = None if s0 is None else elements[s0]
     if src is None or src.kind != "source":
         add("missing source", network.source_id if src is None else f"{src.id} has kind {src.kind}", network.source_id)
+    # a bare terminal (a detector or blocker, no params, no outputs) has no checks, no successors and no walk
+    bare = [e.kind in ("blocker", "detector") and not e.params and not e.outputs for e in elements]
+    live = list(compress(range(n), map(not_, bare)))
+    # but one named for a polarizer's absorbed port shares that absorber, whose sum runs in Kahn order
+    for t in {index.get(f"{elements[i].id}.absorbed") for i in live if elements[i].kind == "polarizer"} - {None}:
+        bare[t], live = False, sorted({*live, t})
     # wired: per element, (target, slot) for each output port in sorted order, None for an unknown target
-    successors, inputs, wired = ([[] for _ in elements] for _ in range(3))
+    successors, wired = [()] * n, [()] * n
     slot, collided, odd, indegree = {(s0, ""): 0}, set(), set(), [0] * n  # slot: (element, input port) -> slot
-    if src is not None:
-        inputs[s0].append(("", 0))  # slot 0 holds the emission
-    for i, elem in enumerate(elements):
+    inputs = {i: [("", 0)] if i == s0 else [] for i in live}  # slot 0 holds the emission
+    for i in live:
+        elem = elements[i]
         kind, p, outs = elem.kind, elem.params, elem.outputs
         want = _OUT_PORTS.get(kind)
-        if not outs and not p and kind in ("blocker", "detector"):
-            continue  # nothing to check
         if kind not in KINDS:
             add("unknown kind", f"{elem.id}: {kind}", elem.id)
             continue
@@ -231,29 +246,31 @@ def _compile(network: OpticalNetwork) -> _Plan:
             add("bad wiring", f"terminal {elem.id} has outputs", elem.id)
         elif kind == "source" and not outs:
             add("dangling port", f"source {elem.id} has no outputs", elem.id)
+        successors[i], wired[i] = succ, ws = [], []
         for port, target in sorted(outs.items()) if len(outs) > 1 else outs.items():
             tid, _, tport = target.partition(":")
             t = index.get(tid)
             if t is None:
-                wired[i].append(None)
+                ws.append(None)
                 add("dangling port", f"{elem.id}.{port} -> {target}", elem.id)
                 continue
-            successors[i].append(t)
-            indegree[t] += 1
-            tkind = elements[t].kind
-            tport = tport or ("a" if tkind == "beamsplitter" else "in")
-            if tkind == "beamsplitter" and tport != "a" and tport != "b":
-                add("bad wiring", f"{elem.id}.{port} -> unknown input {tid}:{tport}", elem.id)
-            elif tkind == "source":
-                add("bad wiring", f"{elem.id}.{port} feeds source {tid}", elem.id)
-            elif tkind == "screen" and not (isinstance(o := elements[t].params.get("offsets"), dict) and tport in o):
-                add("bad wiring", f"{elem.id}.{port} -> screen {tid} has no offset for port {tport}", elem.id)
-            k = slot.setdefault((t, tport), nk := len(slot))
-            if k == nk:
+            if not bare[t]:  # an edge into a bare terminal takes its slot only
+                succ.append(t)
+                indegree[t] += 1
+                tkind = elements[t].kind
+                tport = tport or ("a" if tkind == "beamsplitter" else "in")
+                if tkind == "beamsplitter" and tport != "a" and tport != "b":
+                    add("bad wiring", f"{elem.id}.{port} -> unknown input {tid}:{tport}", elem.id)
+                elif tkind == "source":
+                    add("bad wiring", f"{elem.id}.{port} feeds source {tid}", elem.id)
+                elif tkind == "screen" and not (isinstance(o := elements[t].params.get("offsets"), dict) and tport in o):
+                    add("bad wiring", f"{elem.id}.{port} -> screen {tid} has no offset for port {tport}", elem.id)
+            k = slot.setdefault(key := (t, tport or "in"), nk := len(slot))
+            if k != nk:
+                collided.add(key)
+            elif not bare[t]:  # a bare terminal's inputs are read off the slots after the walk
                 inputs[t].append((tport, k))
-            else:
-                collided.add((t, tport))
-            wired[i].append((t, k))
+            ws.append((t, k))
     for t, tport in sorted(collided, key=lambda key: (elements[key[0]].id, key[1])):
         tid, k = elements[t].id, slot[t, tport]
         feeders = sorted(elements[i].id for i, ws in enumerate(wired) for w in ws if w and w[1] == k)
@@ -263,17 +280,19 @@ def _compile(network: OpticalNetwork) -> _Plan:
     if any(d.kind in ("unknown kind", "missing source", "duplicate id", "bad params") for d in defects):
         return _Plan(tuple(defects))
 
-    order, ready = [], [i for i, d in enumerate(indegree) if not d]
+    # a bare item on the LIFO stack would push nothing when popped, so leaving them out keeps the order of the rest
+    order, ready = [], [i for i in live if not indegree[i]]
     while ready:
         order.append(ready.pop())
         for t in successors[order[-1]]:
             indegree[t] -= 1
             if not indegree[t]:
                 ready.append(t)
-    if len(order) < n:
-        add("cycle", "network graph contains a cycle", _on_cycle(indegree, successors, elements))
+    if len(order) < len(live):
+        add("cycle", "network graph contains a cycle", _on_cycle(indegree, wired, elements))
         return _Plan(tuple(defects))
-    reached, nslots, steps, points, screens = [False] * n, len(slot), [], {}, []
+    # pid, pk: each point's absorber id and slot, each absorber's points in port order
+    reached, nslots, steps, screens, pid, pk = [False] * n, len(slot), [], [], [], []
     reached[s0] = True
 
     # reached grows as the walk goes; an unreached input of a reached element holds zero
@@ -283,7 +302,8 @@ def _compile(network: OpticalNetwork) -> _Plan:
         elem, fed = elements[i], inputs[i] if len(inputs[i]) == 1 else sorted(inputs[i])
         eid, kind, p = elem.id, elem.kind, elem.params
         if kind in ("blocker", "detector"):
-            points.setdefault(eid, []).extend([k for _, k in fed])
+            pid += [eid] * len(fed)
+            pk += [k for _, k in fed]
             continue
         try:
             if kind == "screen":
@@ -293,7 +313,7 @@ def _compile(network: OpticalNetwork) -> _Plan:
                 if not all(np.isfinite(f).all() for _, f in factors):
                     raise ValueError("non-finite amplitude component")
                 pad = len(str(len(bins) - 1))
-                screens.append((eid, [f"{eid}[{j:0{pad}d}]" for j in range(len(bins))],
+                screens.append((eid, ["%s[%0*d]" % (eid, pad, j) for j in range(len(bins))],
                                 tuple((k, f.real, f.imag) for k, f in factors)))
                 continue
             ts, ws = [], wired[i]  # the slot each port the kind sends on feeds: its target's input, or a sink
@@ -308,14 +328,15 @@ def _compile(network: OpticalNetwork) -> _Plan:
                     ts.append(w[1])
             if kind == "polarizer":
                 ts, nslots = [*ts, nslots], nslots + 1
-                points.setdefault(f"{eid}.absorbed", []).append(ts[1])
+                pid.append(f"{eid}.absorbed")
+                pk.append(ts[1])
                 op = ("polarizer", ts, (cos_deg(float(p["axis"])), sin_deg(float(p["axis"]))))
             elif kind in ("halfwave_plate", "quarterwave_double"):
                 op = ("plate", ts, (cos_deg(2.0 * float(p["axis"])), sin_deg(2.0 * float(p["axis"]))))
             elif kind == "phase_segment":
                 op = ("scale", ts, (path_phase(float(p["length"])),))
             elif kind != "beamsplitter":  # source, mirror
-                op = ("scale", ts, tuple(1.0 / math.sqrt(len(ts)) for _ in ts) if kind == "source" else (1.0,))
+                op = ("scale", ts, (1.0 / math.sqrt(len(ts) or 1),) * len(ts) if kind == "source" else (1.0,))
         except ValueError as exc:  # finite params whose geometry overflows
             add("bad params", f"{eid}: {exc}", eid)
             return _Plan(tuple(defects))
@@ -323,26 +344,30 @@ def _compile(network: OpticalNetwork) -> _Plan:
             if kind == "beamsplitter":  # a transmits to out1 and reflects to out2, b the reverse
                 op = ("scale", ts, _SPLIT_A if port == "a" else _SPLIT_B)
             steps.append((eid, k, *op))
+    fed = sorted(key for key in slot if bare[key[0]] and reached[key[0]])  # the reached bare terminals' inputs
+    pid += [elements[t].id for t, _ in fed]
+    pk += map(slot.__getitem__, fed)
 
-    absorbers = sorted({*points, *(b for _, bins, _ in screens for b in bins)})
+    absorbers = sorted(dict.fromkeys([*pid, *(b for _, bins, _ in screens for b in bins)]))  # no set: in near order
     at = {aid: i for i, aid in enumerate(absorbers)}
-    unreachable = tuple(e.id for e, r in zip(elements, reached) if not r and e.kind in TERMINAL_KINDS)
+    unreachable = tuple(e.id for e in compress(elements, map(not_, reached)) if e.kind in TERMINAL_KINDS)
     return _Plan(tuple(defects), tuple(steps), nslots, unreachable, tuple(absorbers),
-                 (np.array([at[aid] for aid, ks in points.items() for _ in ks], dtype=np.intp),
-                  np.array([k for ks in points.values() for k in ks], dtype=np.intp)),
+                 (np.fromiter(map(at.__getitem__, pid), np.intp, len(pid)), np.array(pk, dtype=np.intp)),
                  tuple((np.array([at[b] for b in bins], dtype=np.intp), ports) for _, bins, ports in screens))
 
 
-def _on_cycle(indegree: list, successors: list, elements: tuple) -> str:
+def _on_cycle(indegree: list, wired: list, elements: tuple) -> str:
     """The id of one element on a cycle, given the indegrees the Kahn order
     left: each element it never reached waits on another, so walking back
-    through them must repeat one, which lies on a cycle (the least id wins)."""
+    through them must repeat one, which lies on a cycle (the least id wins;
+    the bare terminals a stuck element feeds wait too, uncounted)."""
     stuck = {i for i, d in enumerate(indegree) if d}
+    stuck |= {w[0] for i in stuck for w in wired[i] if w}
     preds: dict[int, list[int]] = {i: [] for i in stuck}
     for i in stuck:
-        for t in successors[i]:
-            if t in preds:
-                preds[t].append(i)
+        for w in wired[i]:
+            if w:
+                preds[w[0]].append(i)
     seen: set[int] = set()
     i = min(stuck, key=lambda i: elements[i].id)
     while i not in seen:

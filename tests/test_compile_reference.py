@@ -5,10 +5,11 @@ network._compile replaced, kept verbatim as the reference, and
 _reference_validate is the validate that read its plan.  The property
 runs both on the same networks: those that mutated network documents
 hand to validate, lossless DAGs, the same DAGs with outputs dropped or
-rewired, and splitter merges with odd params and an unfed feeder.  The defects must match in kind, text, element and
-order, and so must the absorber ids, each step's element, kind and
-factors, the screen bin factors and the echoes, bit for bit.  Slot
-numbers may differ.
+rewired, splitter merges with odd params and an unfed feeder, and wide
+fan-outs into bare terminals.  The defects must match in kind, text,
+element and order, and so must the absorber ids, each step's element,
+kind and factors, the screen bin factors and the echoes, bit for bit.
+Slot numbers may differ.
 """
 
 import math
@@ -16,7 +17,7 @@ from collections import Counter, namedtuple
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hqs import cli
@@ -303,3 +304,61 @@ def rewired_networks(draw):
 def test_the_compile_matches_the_reference_compile(documented, lossless, merge, rewired):
     for net in (*documented, lossless, merge, rewired):
         _same_compile(net)
+
+
+@st.composite
+def fan_outs(draw):
+    """A source fanning out over 8-300 ports into bare detectors and
+    blockers (no params, no outputs), with one fed at an explicit port, one
+    at two ports, a few unfed and one behind an unfed mirror, and often one
+    fed twice at one port (an input collision).  Sometimes a polarizer's
+    absorbed port names a terminal fed at two ports, so three amplitudes
+    sum in one absorber.  Sometimes a splitter on the fan-out feeds a bare
+    terminal whose id sorts first and a mirror that feeds the splitter
+    back: a cycle upstream of that terminal, whose two elements' ids sort
+    either way."""
+    k = draw(st.integers(8, 300))
+    ids = [f"T{j}" for j in range(k)]  # unpadded: id, port and index orders differ
+    pick = st.integers(0, k - 1)
+    outputs = {f"o{j}": t for j, t in enumerate(ids)}
+    outputs[f"o{draw(pick)}"] = f"{ids[draw(pick)]}:{draw(st.sampled_from(['in', 'x']))}"
+    two = ids[draw(pick)]
+    outputs[f"o{draw(pick)}"], outputs["p"] = f"{two}:q", f"{two}:p"
+    if draw(st.booleans()):
+        outputs["c"] = ids[draw(pick)]  # its default port is taken: a collision, unless that output moved
+    for j in draw(st.sets(pick, max_size=3)):
+        outputs.pop(f"o{j}", None)
+    behind = draw(pick)
+    outputs.pop(f"o{behind}", None)
+    elements = [Element(t, kind) for t, kind in zip(ids, draw(st.lists(st.sampled_from(["detector", "blocker"]),
+                                                                       min_size=k, max_size=k)))]
+    elements.append(Element("M", "mirror", outputs={"out": ids[behind]}))
+    if draw(st.booleans()):
+        outputs.update({"a": "P", "pa": "P.absorbed:a", "pb": "P.absorbed:b"})
+        elements += [Element("P", "polarizer", {"axis": draw(st.floats(0.0, 360.0))}, {"out": ids[draw(pick)]}),
+                     Element("P.absorbed", "detector")]
+    if draw(st.booleans()):
+        u, v = draw(st.permutations(["K", "W"]))
+        outputs["u"] = f"{u}:a"
+        elements += [Element(u, "beamsplitter", outputs={"out1": "0first", "out2": v}),
+                     Element(v, "mirror", outputs={"out": f"{u}:b"}), Element("0first", "detector")]
+    elements.append(Element("src", "source", outputs=outputs))
+    return OpticalNetwork(tuple(draw(st.permutations(elements))), "src")
+
+
+def _absorbed_fan(k: int, axis: float) -> OpticalNetwork:
+    """A source on k detectors, a polarizer and, at two ports, the detector
+    named for the polarizer's absorbed port: that absorber sums three
+    amplitudes, and at k = 8 and axis 20 their sum rounds apart when the
+    polarizer's comes first rather than in Kahn order."""
+    outputs = {**{f"o{j}": f"T{j}" for j in range(k)}, "a": "P", "pa": "P.absorbed:a", "pb": "P.absorbed:b"}
+    return OpticalNetwork((Element("src", "source", outputs=outputs), *(Element(f"T{j}", "detector") for j in range(k)),
+                           Element("P", "polarizer", {"axis": axis}, {"out": "T0:z"}),
+                           Element("P.absorbed", "detector")), "src")
+
+
+@given(fan_outs())
+@example(_absorbed_fan(8, 20.0))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_wide_fan_outs_match_the_reference_compile(net):
+    _same_compile(net)

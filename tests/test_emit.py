@@ -82,6 +82,7 @@ trees = st.recursive(
 @example([np.float64(0.1), True, False, None, (1, 2.5), Tag("x"), Level(-0.0), Count(7)])
 @example({1.5: 1, 2: 2, True: 3, float("nan"): 4, float("-inf"): 5})
 @example([[], {}, [[]], {"": {}}, ()])
+@example([math.nan, math.inf, 0.0, -math.inf, -0.0, math.nan, 1.5, -0.0, math.inf, 0.0])  # seeded, missed, unstored
 def test_writer_matches_json_dumps(tree):
     assert_same(tree)
 
@@ -128,6 +129,7 @@ def tables(draw):
 @example(_table(["x"], {"x": [1.5, np.float64(1.5), Level(2.5)]}, [["x"]] * 3, (1, "y", 0)))
 @example(_table(["t"], {"t": [True, 1, Count(0), Flag.ON, False]}, [["t"]] * 5, None))
 @example(_table(["f"], {"f": [float("nan"), float("inf"), -float("inf"), float("nan")]}, [["f"]] * 4, None))
+@example(_table(["f"], {"f": [math.nan, 0.0, math.inf, -0.0, -math.inf, 0.0, math.nan, -0.0]}, [["f"]] * 8, None))
 @example(_table(["s", "%s"], {"s": ["%s", Tag("q")], "%s": ["%%", "%d"]}, [["s", "%s"], ["%s", "s"]], None))
 @example(_table([1, 2], {1: [1.0, 2.0], 2: ["a", "b"]}, [[1, 2], [2, 1]], None))
 @example(_table(["k"], {"k": [1, 2]}, [["k"]] * 2, (0, "j", 3)))

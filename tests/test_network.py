@@ -1,5 +1,6 @@
 """Network validation, offer propagation, echo bookkeeping, event sampling."""
 
+import dataclasses
 import math
 import time
 
@@ -158,6 +159,36 @@ def test_blocked_mz_splits_quarter_quarter_half():
     assert table.entries["D1"] == pytest.approx(0.25)
     assert table.entries["D2"] == pytest.approx(0.25)
     assert table.entries["Obj"] == pytest.approx(0.5)
+
+
+def test_element_keeps_the_frozen_dataclass_api():
+    params, outputs = {"length": 0.25}, {"out": "D"}
+    by_position = Element("seg", "phase_segment", params, outputs)
+    by_keyword = Element(outputs=outputs, kind="phase_segment", id="seg", params=params)
+    assert by_position == by_keyword
+    assert by_position.params is params and by_keyword.outputs is outputs  # stored as given, not copied
+    assert repr(by_keyword) == "Element(id='seg', kind='phase_segment', params={'length': 0.25}, outputs={'out': 'D'})"
+    # built the old way: the generated __init__ stores each field through object.__setattr__
+    old = object.__new__(Element)
+    for name, value in (("id", "seg"), ("kind", "phase_segment"), ("params", params), ("outputs", outputs)):
+        object.__setattr__(old, name, value)
+    assert old == by_position and by_position == old and repr(old) == repr(by_position)
+    assert [f.name for f in dataclasses.fields(Element)] == ["id", "kind", "params", "outputs"]
+    moved = dataclasses.replace(by_position, id="seg2", outputs={"out": "E"})
+    assert moved == Element("seg2", "phase_segment", params, {"out": "E"}) and moved.params is params
+    for change in (lambda e: setattr(e, "id", "x"), lambda e: setattr(e, "extra", 1), lambda e: delattr(e, "kind")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            change(by_position)
+    assert by_position.id == "seg" and by_position.kind == "phase_segment"
+    a, b = Element("D0", "detector"), Element("D1", "detector")
+    assert a == Element("D0", "detector", {}, {}) and a.params == a.outputs == {}
+    assert a.params is not b.params and a.outputs is not b.outputs and a.params is not a.outputs
+    a.params["x"] = 1  # a default dict is the element's own
+    assert b.params == {} and Element("D2", "detector").params == {}
+    with pytest.raises(TypeError):
+        Element("D0")
+    with pytest.raises(TypeError):
+        Element("D0", "detector", {}, {}, {})
 
 
 def _defect_kinds(network) -> set:
