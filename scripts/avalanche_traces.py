@@ -31,7 +31,7 @@ def main(argv=None) -> int:
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    config = mead.default_config(k=args.k, x0=args.x0)
+    config = mead.AvalancheConfig(k=args.k, x0=args.x0)
     states = mead.integrate_pair(config)
     mead.write_trajectory_csv(out_dir / "trajectory.csv", states)
     half = mead.time_to_level(args.k, args.x0, 0.5)

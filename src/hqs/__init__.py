@@ -18,7 +18,6 @@ from .mead import (
     FieldGrid,
     beat_frequency,
     compete,
-    default_config,
     dipole_amplitude,
     dipole_signal,
     field_snapshot,
@@ -56,7 +55,6 @@ __all__ = [
     "beat_frequency",
     "calibrated",
     "compete",
-    "default_config",
     "dipole_amplitude",
     "dipole_signal",
     "field_snapshot",

@@ -7,7 +7,7 @@ shell into n equal solid-angle patches; 64 is the default resolution.
 
 from __future__ import annotations
 
-from ..network import Element, OpticalNetwork, network_echo_table, sample_counts
+from ..network import Element, OpticalNetwork
 
 DEFAULT_DETECTORS = 64
 
@@ -20,9 +20,3 @@ def bubble_network(n_detectors: int = DEFAULT_DETECTORS) -> OpticalNetwork:
     elements = [Element("src", "source", outputs={"out" + d[1:]: d for d in det_ids})]  # port outK feeds DK
     elements += [Element(d, "detector") for d in det_ids]
     return OpticalNetwork(tuple(elements), "src")
-
-
-def einstein_bubble(n_detectors: int, n_events: int | None, seed: int):
-    """Counts over the ring; echo table is uniform at 1/n per detector."""
-    table = network_echo_table(bubble_network(n_detectors))
-    return table, sample_counts(table, n_events, seed) if n_events else None

@@ -45,12 +45,6 @@ def correlation(theta_l: float, theta_r: float) -> float:
     return t["HH"] + t["VV"] - t["HV"] - t["VH"]
 
 
-def run_epr(theta_l: float, theta_r: float, n: int, seed: int, base_event_index: int = 0):
-    table = epr_table(theta_l, theta_r)
-    counts = sample_counts(table, n, seed, base_event_index)
-    return table, counts
-
-
 def chsh_analytic(angles=CHSH_ANGLES) -> float:
     a, ap, b, bp = angles
     return (
@@ -70,7 +64,7 @@ def chsh(n_per_setting: int, seed: int, angles=CHSH_ANGLES) -> dict:
     variance = 0.0
     per_setting = {}
     for s_index, (tl, tr, sign) in enumerate(settings):
-        _, counts = run_epr(tl, tr, n_per_setting, seed, base_event_index=s_index * n_per_setting)
+        counts = sample_counts(epr_table(tl, tr), n_per_setting, seed, s_index * n_per_setting)
         same = counts["HH"] + counts["VV"]
         diff = counts["HV"] + counts["VH"]
         e_hat = (same - diff) / n_per_setting

@@ -10,8 +10,9 @@ production histories interfere in the coincidence rate.
 * eraser_in=True puts a 45-degree polarizer before the idler detector,
   making the projected histories indistinguishable again; fringes return
   at half the total rate, the rest landing on the filter.
-* delayed=True records that the eraser sits farther from the crystal than
-  the signal detector.  Nothing reads it; statistics are bit-identical.
+* The registry's delayed=True records that the eraser sits farther from
+  the crystal than the signal detector.  It is echoed in the run's spec
+  and nothing else reads it; statistics are bit-identical.
 
 Each phase's rates are the echoes of one network sweep (eraser_network):
 the two histories are the two arms between a pair of splitters.  Nominal
@@ -79,7 +80,6 @@ def eraser_rates(qwp_in: bool, eraser_in: bool, phase: float) -> dict:
 def eraser_scan(
     qwp_in: bool,
     eraser_in: bool,
-    delayed: bool = False,
     phase_scan=None,
     n: int | None = None,
     seed: int = 0,
@@ -90,7 +90,6 @@ def eraser_scan(
     the fringe visibility of whichever rate curve is most direct: sampled
     when Monte Carlo ran, analytic otherwise.
     """
-    del delayed  # label only; the physics never sees it
     if phase_scan is None:
         phase_scan = default_phase_scan()
     phase_scan = tuple(float(p) for p in phase_scan)
@@ -114,15 +113,3 @@ def eraser_scan(
         "empirical": empirical,
         "visibility": fringe_visibility(curve, interior=False),
     }
-
-
-def eraser_visibility(
-    qwp_in: bool,
-    eraser_in: bool,
-    delayed: bool = False,
-    phase_scan=None,
-    n: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Fringe visibility of the coincidence rate over the phase scan."""
-    return eraser_scan(qwp_in, eraser_in, delayed, phase_scan, n, seed)["visibility"]

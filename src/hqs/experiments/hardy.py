@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from ..network import EchoTable, Element, OpticalNetwork, network_echo_table, sample_counts
+from ..network import EchoTable, Element, OpticalNetwork, network_echo_table
 from ..wavecore import SQRT_HALF, PolarizedAmplitude
 
 X_PLUS = (SQRT_HALF, SQRT_HALF)  # atom (z+, z-) amplitudes
@@ -63,9 +63,3 @@ def x_minus_conditionals(table: EchoTable | None = None) -> dict:
         total = t[f"{det}.x+"] + t[f"{det}.x-"]
         out[det] = t[f"{det}.x-"] / total if total > 0 else math.nan
     return out
-
-
-def run_hardy(n: int, seed: int, atom_state: tuple = X_PLUS):
-    table = hardy_table(atom_state)
-    counts = sample_counts(table, n, seed)
-    return table, counts

@@ -11,7 +11,6 @@ from ..network import (
     OpticalNetwork,
     network_echo_table,
     replay,
-    sample_counts,
 )
 
 # trials per ev_recursive block: each round pays its numpy calls once per
@@ -43,12 +42,6 @@ def mz_network(blocked: bool = False) -> OpticalNetwork:
 
 def mach_zehnder(blocked: bool = False) -> EchoTable:
     return network_echo_table(mz_network(blocked))
-
-
-def run_mach_zehnder(blocked: bool, n: int, seed: int):
-    """Echo table plus Monte Carlo counts over the interferometer ports."""
-    table = mach_zehnder(blocked)
-    return table, sample_counts(table, n, seed)
 
 
 def ev_recursive(n_trials: int, seed: int) -> dict:

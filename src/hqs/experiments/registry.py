@@ -42,10 +42,17 @@ class Experiment:
     run: callable
 
 
-def _run_mz(p, n, seed):
-    table = interferometer.mach_zehnder(p["blocked"])
+def _sampled(table, n, seed, extras=None, curve=None):
+    """The one sampled path: the analytic values are the table the counts
+    are drawn from, in analytic-only and sampled runs alike.  extras and
+    curve are kept as given, so a runner adds its sampled diagnostics to
+    them after the draw."""
     counts = sample_counts(table, n, seed) if n else None
-    return RunResult(dict(table.entries), counts, n)
+    return RunResult(dict(table.entries), counts, n, {} if extras is None else extras, curve)
+
+
+def _run_mz(p, n, seed):
+    return _sampled(interferometer.mach_zehnder(p["blocked"]), n, seed)
 
 
 def _run_ev(p, n, seed):
@@ -63,8 +70,7 @@ def _run_ev(p, n, seed):
 
 
 def _run_bubble(p, n, seed):
-    table, counts = bubble.einstein_bubble(p["n_detectors"], n, seed)
-    return RunResult(dict(table.entries), counts, n)
+    return _sampled(network_echo_table(bubble.bubble_network(p["n_detectors"])), n, seed)
 
 
 def _slit_geometry(p):
@@ -77,32 +83,32 @@ def _run_two_slit(p, n, seed):
     network = slits.slit_network(labeled=p["labeled"], **geom)
     table = network_echo_table(network)
     profile = slits._profile_from_table(table, network)
-    counts = sample_counts(table, n, seed) if n else None
     curve = {
         "bin_center": list(profile.bin_centers),
         "probability": list(profile.probabilities),
     }
-    if counts:
-        curve["count"] = [counts[a] for a in sorted(counts)]
-    return RunResult(
-        dict(table.entries), counts, n, {"visibility": profile.visibility}, curve
-    )
-
-
-_LENS_IMAGES = {"img1": 0.5, "img2": 0.5}
+    result = _sampled(table, n, seed, {"visibility": profile.visibility}, curve)
+    if result.counts:
+        curve["count"] = [result.counts[a] for a in sorted(result.counts)]
+    return result
 
 
 def _run_delayed_choice(p, n, seed):
-    if not n:
-        if p["decision_time"] not in slits.DECISION_TIMES:
-            raise ValueError(f"decision_time must be one of {slits.DECISION_TIMES}")
-        table = network_echo_table(slits.slit_network()).entries if p["screen_up"] else _LENS_IMAGES
-        return RunResult(dict(table))
-    out = slits.delayed_choice(p["screen_up"], p["decision_time"], n, seed)
-    # the screen's analytic values are the echoes the counts were drawn from
-    analytic = dict(out["table"].entries if p["screen_up"] else _LENS_IMAGES)
-    extras = {"visibility": out["profile"].visibility} if out["profile"] else {}
-    return RunResult(analytic, out["counts"], n, extras)
+    """Same two-slit feed; the screen catches fringes, or drops away to a
+    lens that images each slit onto its own detector.
+
+    decision_time records when the screen choice was made relative to the
+    photon passing the slits.  It is checked and echoed in the run's spec
+    only; no computation reads it, and identical seeds give identical counts.
+    """
+    if p["decision_time"] not in slits.DECISION_TIMES:
+        raise ValueError(f"decision_time must be one of {slits.DECISION_TIMES}")
+    if not p["screen_up"]:
+        return _sampled(network_echo_table(slits._lens_network()), n, seed)
+    network = slits.slit_network()
+    table = network_echo_table(network)
+    extras = {"visibility": slits._profile_from_table(table, network).visibility} if n else None
+    return _sampled(table, n, seed, extras)
 
 
 def _run_afshar(p, n, seed):
@@ -117,19 +123,15 @@ def _epr_angles(p):
 
 
 def _run_epr(p, n, seed):
-    theta_l, theta_r = _epr_angles(p)
-    table = entangled.epr_table(theta_l, theta_r)
-    analytic = dict(table.entries)
-    extras = {
-        "p_same_exact": analytic["HH"] + analytic["VV"],
-        "p_different_exact": analytic["HV"] + analytic["VH"],
-    }
-    counts = None
+    table = entangled.epr_table(*_epr_angles(p))
+    t = table.entries
+    extras = {"p_same_exact": t["HH"] + t["VV"], "p_different_exact": t["HV"] + t["VH"]}
+    result = _sampled(table, n, seed, extras)
     if n:
-        _, counts = entangled.run_epr(theta_l, theta_r, n, seed)
+        counts = result.counts
         extras["p_same"] = (counts["HH"] + counts["VV"]) / n
         extras["p_different"] = (counts["HV"] + counts["VH"]) / n
-    return RunResult(analytic, counts, n, extras)
+    return result
 
 
 def _run_chsh(p, n, seed):
@@ -143,24 +145,23 @@ def _run_chsh(p, n, seed):
 def _run_hardy(p, n, seed):
     table = hardy.hardy_table()
     exact = hardy.x_minus_conditionals(table)
-    counts = None
     extras = dict(p_x_minus_given_d1_exact=exact["D1"], p_x_minus_given_d2_exact=exact["D2"])
+    result = _sampled(table, n, seed, extras)
     if n:
-        counts = sample_counts(table, n, seed)
+        counts = result.counts
         d1 = counts["D1.x+"] + counts["D1.x-"]
         d2 = counts["D2.x+"] + counts["D2.x-"]
         if d1:
             extras["p_x_minus_given_d1"] = counts["D1.x-"] / d1
         if d2:
             extras["p_x_minus_given_d2"] = counts["D2.x-"] / d2
-    return RunResult(dict(table.entries), counts, n, extras)
+    return result
 
 
 def _run_eraser(p, n, seed):
     scan = eraser.eraser_scan(
         p["qwp_in"],
         p["eraser_in"],
-        p["delayed"],
         eraser.default_phase_scan(p["points"]),
         n if n else None,
         seed,

@@ -1,5 +1,6 @@
-"""Two-slit interference, the delayed-choice variant, and wire-grid
-interception at the fringe minima.
+"""Two-slit interference, the lens that images the slits when the
+delayed-choice screen drops away, and wire-grid interception at the
+fringe minima.
 
 Geometry is measured in wavelengths: slit separation d, screen distance L,
 screen bins spanning +-half_width.  Each slit-to-bin route carries the
@@ -29,7 +30,6 @@ from ..network import (
     _screen_bins,
     calibrated,
     network_echo_table,
-    sample_counts,
 )
 from .profiles import IntensityProfile, fringe_visibility
 
@@ -156,35 +156,6 @@ def two_slit(
 ) -> IntensityProfile:
     network = slit_network(d, L, bin_count, half_width, labeled, slits)
     return _profile_from_table(network_echo_table(network), network)
-
-
-def run_two_slit(n: int, seed: int, labeled: bool = False, **geometry):
-    """Analytic profile plus a Monte Carlo histogram over the screen bins."""
-    network = slit_network(labeled=labeled, **geometry)
-    table = network_echo_table(network)
-    counts = sample_counts(table, n, seed)
-    bin_counts = [counts[a] for a in sorted(c for c in counts if c.startswith("scr["))]
-    return _profile_from_table(table, network), bin_counts
-
-
-def delayed_choice(screen_up: bool, decision_time: str, n: int, seed: int):
-    """Same two-slit feed; the screen catches fringes, or drops away to a
-    lens that images each slit onto its own detector.
-
-    decision_time records when the screen choice was made relative to the
-    photon passing the slits.  It is carried in the run description only;
-    no computation reads it, and identical seeds give identical counts.
-    The echo table the counts were drawn from comes back under "table".
-    """
-    if decision_time not in DECISION_TIMES:
-        raise ValueError(f"decision_time must be one of {DECISION_TIMES}")
-    if screen_up:
-        network = slit_network()
-        table = network_echo_table(network)
-        profile = _profile_from_table(table, network)
-        return {"mode": "screen", "profile": profile, "table": table, "counts": sample_counts(table, n, seed)}
-    table = network_echo_table(_lens_network())
-    return {"mode": "image", "profile": None, "table": table, "counts": sample_counts(table, n, seed)}
 
 
 def _lens_network() -> OpticalNetwork:

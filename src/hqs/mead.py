@@ -62,13 +62,14 @@ AtomPairState = namedtuple("AtomPairState", "t x_emitter x_absorber")
 class AvalancheConfig:
     """Fixed-step RK4 setup for one emitter-absorber pair.
 
-    t_end defaults to 20/k and dt to 0.005/k.  dt must respect the
-    coupling scale (0.02/k) and, when a beat frequency omega is given for
-    signal reconstruction, 1/40 of its period.  x0 is the whole initial transfer.
+    k defaults to 1, x0 to 0.01, t_end to 20/k and dt to 0.005/k.  dt
+    must respect the coupling scale (0.02/k) and, when a beat frequency
+    omega is given for signal reconstruction, 1/40 of its period.  x0 is
+    the whole initial transfer.
     """
 
-    k: float
-    x0: float
+    k: float = 1.0
+    x0: float = 0.01
     t_end: float | None = None
     dt: float | None = None
     omega: float | None = None
@@ -98,10 +99,6 @@ class AvalancheConfig:
         if self.omega is not None:
             bound = min(bound, (2.0 * math.pi / self.omega) / 40.0)
         return bound
-
-
-def default_config(k: float = 1.0, x0: float = 0.01, t_end: float | None = None) -> AvalancheConfig:
-    return AvalancheConfig(k=k, x0=x0, t_end=t_end)
 
 
 def _clip(x: float) -> float:

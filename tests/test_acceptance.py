@@ -13,29 +13,24 @@ import numpy as np
 from scipy import stats
 
 from hqs.experiments import (
+    EXPERIMENTS,
     afshar,
     chsh,
-    delayed_choice,
-    einstein_bubble,
-    eraser_scan,
-    eraser_visibility,
+    epr_table,
     ev_recursive,
     mach_zehnder,
     path_difference,
-    run_epr,
-    run_hardy,
-    run_mach_zehnder,
-    run_two_slit,
     two_slit,
 )
 from hqs import mead
+from hqs.network import sample_counts
 
 
 def test_criterion_01_open_interferometer_dark_port_stays_dark():
     table = mach_zehnder(blocked=False)
     assert abs(table.entries["D1"] - 1.0) < 1e-9
     assert table.entries["D2"] == 0.0
-    _, counts = run_mach_zehnder(False, 100_000, seed=101)
+    counts = EXPERIMENTS["mz"].run({"blocked": False}, 100_000, 101).counts
     assert counts["D2"] == 0
     print(f"\nPASS 1: open interferometer analytic D1={table.entries['D1']:.12f}, "
           f"D2={table.entries['D2']}, sampled D2 clicks = {counts['D2']}/100000")
@@ -43,10 +38,11 @@ def test_criterion_01_open_interferometer_dark_port_stays_dark():
 
 def test_criterion_02_blocked_interferometer_splits_quarter_quarter_half():
     n = 100_000
-    table, counts = run_mach_zehnder(True, n, seed=102)
+    result = EXPERIMENTS["mz"].run({"blocked": True}, n, 102)
+    counts = result.counts
     freqs = {}
     for name, p in (("D1", 0.25), ("D2", 0.25), ("Obj", 0.5)):
-        assert abs(table.entries[name] - p) < 1e-9
+        assert abs(result.analytic[name] - p) < 1e-9
         bound = 4.0 * math.sqrt(p * (1.0 - p) / n)
         freqs[name] = counts[name] / n
         assert abs(freqs[name] - p) <= bound, (name, freqs[name], bound)
@@ -65,10 +61,10 @@ def test_criterion_03_interaction_free_detection_rates():
 
 def test_criterion_04_isotropic_collapse_lands_once_and_uniformly():
     n = 100_000
-    table, counts = einstein_bubble(n_detectors=64, n_events=n, seed=104)
-    total = sum(counts.values())
+    result = EXPERIMENTS["bubble"].run({"n_detectors": 64}, n, 104)
+    total = sum(result.counts.values())
     assert total == n  # exactly one detection per event
-    observed = [counts[name] for name in sorted(table.entries)]
+    observed = [result.counts[name] for name in sorted(result.analytic)]
     chi2, p = stats.chisquare(observed)
     assert p > 1e-3, (chi2, p)
     print(f"\nPASS 4: one detection per event ({total}/{n}), 64-detector uniformity "
@@ -88,7 +84,8 @@ def test_criterion_05_fringe_visibility_and_histogram():
         frac = path_difference(float(x), 20.0, 2000.0) % 1.0
         assert abs(frac - 0.5) < 0.02
     n = 100_000
-    _, bins = run_two_slit(n=n, seed=105)
+    params = {k: p.default for k, p in EXPERIMENTS["two_slit"].params.items()}
+    bins = EXPERIMENTS["two_slit"].run(params, n, 105).curve["count"]
     expected = probs * n
     observed = np.array(bins, dtype=float)
     order = np.argsort(expected)
@@ -114,11 +111,12 @@ def test_criterion_05_fringe_visibility_and_histogram():
 
 def test_criterion_06_choice_timing_never_changes_counts():
     details = []
+    run = EXPERIMENTS["delayed_choice"].run
     for screen_up in (True, False):
-        before = delayed_choice(screen_up, "before_slits", 10_000, seed=106)
-        after = delayed_choice(screen_up, "after_slits", 10_000, seed=106)
-        assert before["counts"] == after["counts"]
-        details.append(f"screen_up={screen_up}: {len(before['counts'])} outcome bins equal")
+        before = run({"screen_up": screen_up, "decision_time": "before_slits"}, 10_000, 106)
+        after = run({"screen_up": screen_up, "decision_time": "after_slits"}, 10_000, 106)
+        assert before.counts == after.counts
+        details.append(f"screen_up={screen_up}: {len(before.counts)} outcome bins equal")
     print(f"\nPASS 6: decision timing changed nothing; {'; '.join(details)}")
 
 
@@ -136,7 +134,7 @@ def test_criterion_08_pair_correlations_and_chsh():
     deltas = np.linspace(0.0, 90.0, 19)
     residuals = []
     for i, delta in enumerate(deltas):
-        _, counts = run_epr(float(delta), 0.0, n, seed=108, base_event_index=i * n)
+        counts = sample_counts(epr_table(float(delta), 0.0), n, 108, i * n)
         p_hat = (counts["HV"] + counts["VH"]) / n
         residuals.append(p_hat - math.sin(math.radians(delta)) ** 2)
     rms = math.sqrt(float(np.mean(np.square(residuals))))
@@ -150,7 +148,7 @@ def test_criterion_08_pair_correlations_and_chsh():
 
 def test_criterion_09_superposed_blocker_statistics():
     n = 100_000
-    table, counts = run_hardy(n, seed=109)
+    counts = EXPERIMENTS["hardy"].run({}, n, 109).counts
     expected = {"absorbed": 0.25, "D1": 0.625, "D2": 0.125}
     measured = {
         "absorbed": counts["absorbed"],
@@ -171,22 +169,27 @@ def test_criterion_09_superposed_blocker_statistics():
 
 def test_criterion_10_marker_and_eraser_visibilities():
     n = 20_000
-    v_plain = eraser_visibility(False, False, n=n, seed=42)
-    v_marked = eraser_visibility(True, False, n=n, seed=42)
-    v_erased = eraser_visibility(True, True, n=n, seed=42)
+    run = EXPERIMENTS["eraser"].run
+
+    def params(qwp_in, eraser_in, delayed=False):
+        return {"qwp_in": qwp_in, "eraser_in": eraser_in, "delayed": delayed, "points": 32}
+
+    v_plain = run(params(False, False), n, 42).extras["visibility"]
+    v_marked = run(params(True, False), n, 42).extras["visibility"]
+    v_erased = run(params(True, True), n, 42).extras["visibility"]
     assert v_plain >= 0.98
     assert v_marked <= 0.02
     assert v_erased >= 0.98
-    now = eraser_scan(True, True, delayed=False, n=n, seed=42)
-    later = eraser_scan(True, True, delayed=True, n=n, seed=42)
-    assert now["empirical"] == later["empirical"]
+    now = run(params(True, True, delayed=False), n, 42)
+    later = run(params(True, True, delayed=True), n, 42)
+    assert now.curve["rate"] == later.curve["rate"]
     print(f"\nPASS 10: visibilities (plain, marked, erased) = "
           f"({v_plain:.4f}, {v_marked:.4f}, {v_erased:.4f}) vs gates "
           f"(>=0.98, <=0.02, >=0.98); delayed flag bit-identical")
 
 
 def test_criterion_11_avalanche_dynamics():
-    config = mead.default_config(k=1.0, x0=0.01)
+    config = mead.AvalancheConfig(k=1.0, x0=0.01)
     states = mead.integrate_pair(config)
     t = np.array([s.t for s in states])
     x_a = np.array([s.x_absorber for s in states])

@@ -3,12 +3,12 @@
 import pytest
 from scipy import stats
 
-from hqs.experiments import bubble_network, einstein_bubble
-from hqs.network import run_events, validate
+from hqs.experiments import EXPERIMENTS, bubble_network
+from hqs.network import EchoTable, run_events, validate
 
 
 def test_ring_echoes_are_uniform():
-    table, _ = einstein_bubble(n_detectors=64, n_events=None, seed=0)
+    table = EchoTable(EXPERIMENTS["bubble"].run({"n_detectors": 64}, None, 0).analytic)
     assert len(table.entries) == 64
     for p in table.entries.values():
         assert p == pytest.approx(1.0 / 64.0)
@@ -27,8 +27,8 @@ def test_exactly_one_detection_per_event():
 
 def test_uniformity_chi_square():
     n = 100_000
-    table, counts = einstein_bubble(n_detectors=64, n_events=n, seed=21)
-    observed = [counts[name] for name in sorted(table.entries)]
+    result = EXPERIMENTS["bubble"].run({"n_detectors": 64}, n, 21)
+    observed = [result.counts[name] for name in sorted(result.analytic)]
     assert sum(observed) == n
     chi2, p = stats.chisquare(observed)
     assert p > 1e-3, (chi2, p)

@@ -7,13 +7,14 @@ import pytest
 
 from hqs.experiments import (
     CHSH_ANGLES,
+    EXPERIMENTS,
     chsh,
     chsh_analytic,
     correlation,
     epr_table,
     p_different,
-    run_epr,
 )
+from hqs.network import sample_counts
 
 
 def tensor_oracle(theta_l: float, theta_r: float) -> dict:
@@ -69,7 +70,7 @@ def test_sampled_mismatch_curve_fits_sin_squared():
     deltas = np.linspace(0.0, 90.0, 19)
     residuals = []
     for i, delta in enumerate(deltas):
-        _, counts = run_epr(float(delta), 0.0, n, seed=42, base_event_index=i * n)
+        counts = sample_counts(epr_table(float(delta), 0.0), n, 42, i * n)
         p_hat = (counts["HV"] + counts["VH"]) / n
         residuals.append(p_hat - math.sin(math.radians(delta)) ** 2)
     rms = math.sqrt(float(np.mean(np.square(residuals))))
@@ -113,6 +114,7 @@ def test_chsh_sampled():
 
 
 def test_epr_counts_reproducible():
-    a = run_epr(22.5, 0.0, 5_000, seed=3)[1]
-    b = run_epr(22.5, 0.0, 5_000, seed=3)[1]
+    params = {"theta_l": 22.5, "theta_r": 0.0, "delta": None}
+    a = EXPERIMENTS["epr"].run(params, 5_000, 3).counts
+    b = EXPERIMENTS["epr"].run(params, 5_000, 3).counts
     assert a == b

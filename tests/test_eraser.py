@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hqs.experiments import eraser_rates, eraser_scan, eraser_visibility
+from hqs.experiments import EXPERIMENTS, eraser_rates, eraser_scan
 from hqs.experiments.eraser import default_phase_scan
 
 
@@ -66,24 +66,30 @@ def test_erased_fringe_runs_at_half_the_unmarked_rate():
     assert np.allclose(erased, unmarked / 2.0, atol=1e-12)
 
 
+def _eraser(qwp_in, eraser_in, delayed=False):
+    return {"qwp_in": qwp_in, "eraser_in": eraser_in, "delayed": delayed, "points": 32}
+
+
 def test_analytic_visibilities():
-    assert eraser_visibility(False, False) == pytest.approx(1.0, abs=1e-12)
-    assert eraser_visibility(True, False) == pytest.approx(0.0, abs=1e-12)
-    assert eraser_visibility(True, True) == pytest.approx(1.0, abs=1e-12)
+    run = EXPERIMENTS["eraser"].run
+    assert run(_eraser(False, False), None, 0).extras["visibility"] == pytest.approx(1.0, abs=1e-12)
+    assert run(_eraser(True, False), None, 0).extras["visibility"] == pytest.approx(0.0, abs=1e-12)
+    assert run(_eraser(True, True), None, 0).extras["visibility"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sampled_visibilities_meet_the_gates():
     n = 20_000
-    assert eraser_visibility(False, False, n=n, seed=5) >= 0.98
-    assert eraser_visibility(True, False, n=n, seed=5) <= 0.02
-    assert eraser_visibility(True, True, n=n, seed=5) >= 0.98
+    run = EXPERIMENTS["eraser"].run
+    assert run(_eraser(False, False), n, 5).extras["visibility"] >= 0.98
+    assert run(_eraser(True, False), n, 5).extras["visibility"] <= 0.02
+    assert run(_eraser(True, True), n, 5).extras["visibility"] >= 0.98
 
 
 def test_delayed_label_gives_bit_identical_statistics():
-    now = eraser_scan(True, True, delayed=False, n=4_000, seed=9)
-    later = eraser_scan(True, True, delayed=True, n=4_000, seed=9)
-    assert now["empirical"] == later["empirical"]
-    assert now["visibility"] == later["visibility"]
+    now = EXPERIMENTS["eraser"].run(_eraser(True, True, delayed=False), 4_000, 9)
+    later = EXPERIMENTS["eraser"].run(_eraser(True, True, delayed=True), 4_000, 9)
+    assert now.curve["rate"] == later.curve["rate"]
+    assert now.extras["visibility"] == later.extras["visibility"]
 
 
 def test_scan_needs_enough_phase_points():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hqs.experiments import hardy_table, run_hardy, x_minus_conditionals
+from hqs.experiments import EXPERIMENTS, hardy_table, x_minus_conditionals
 from hqs.experiments.hardy import X_PLUS, hardy_network
 
 
@@ -108,9 +108,10 @@ def test_transparent_atom_restores_the_bright_port():
 
 def test_monte_carlo_outcomes():
     n = 100_000
-    table, counts = run_hardy(n, seed=4)
+    result = EXPERIMENTS["hardy"].run({}, n, 4)
+    counts = result.counts
     assert sum(counts.values()) == n
-    for key, p in table.entries.items():
+    for key, p in result.analytic.items():
         bound = 4.0 * math.sqrt(p * (1 - p) / n)
         assert abs(counts[key] / n - p) <= bound, key
     # conditional statistics at the dark port

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hqs.experiments import ev_recursive, mach_zehnder, run_mach_zehnder
+from hqs.experiments import EXPERIMENTS, ev_recursive, mach_zehnder
 
 
 def test_open_interferometer_sends_everything_to_the_bright_port():
@@ -22,15 +22,16 @@ def test_blocked_interferometer_redistributes():
 
 def test_monte_carlo_matches_the_analytic_split():
     n = 20_000
-    table, counts = run_mach_zehnder(True, n, seed=11)
-    for name, p in table.entries.items():
+    result = EXPERIMENTS["mz"].run({"blocked": True}, n, 11)
+    counts = result.counts
+    for name, p in result.analytic.items():
         bound = 4.0 * math.sqrt(p * (1 - p) / n)
         assert abs(counts[name] / n - p) <= bound, name
     assert sum(counts.values()) == n
 
 
 def test_open_interferometer_never_clicks_dark_port():
-    _, counts = run_mach_zehnder(False, 10_000, seed=2)
+    counts = EXPERIMENTS["mz"].run({"blocked": False}, 10_000, 2).counts
     assert counts["D2"] == 0
 
 

@@ -74,7 +74,7 @@ def test_two_level_atom_properties():
 
 
 def test_trajectory_matches_the_logistic_closed_form():
-    config = mead.default_config(k=1.0, x0=0.01)
+    config = mead.AvalancheConfig(k=1.0, x0=0.01)
     states = mead.integrate_pair(config)
     t = np.array([s.t for s in states])
     x_a = np.array([s.x_absorber for s in states])
@@ -93,7 +93,7 @@ def test_a_pair_state_is_an_immutable_record():
 
 
 def test_trajectory_conserves_the_quantum():
-    states = mead.integrate_pair(mead.default_config(k=2.0, x0=0.02))
+    states = mead.integrate_pair(mead.AvalancheConfig(k=2.0, x0=0.02))
     worst = max(abs(s.x_emitter + s.x_absorber - 1.0) for s in states)
     assert worst < 1e-9
 
@@ -189,7 +189,7 @@ COMPETE_GOLDENS = {
 }
 
 PAIR_GOLDENS = {
-    "default": (mead.default_config(),
+    "default": (mead.AvalancheConfig(),
                 "291da86577da0b575879e751e40f98a65966f67a3e636436792fc38342f5d4a3"),
     "omega": (mead.AvalancheConfig(k=2.0, x0=0.02, t_end=6.0, dt=0.005, omega=30.0),
               "ee1a7bae5019fb88b2966562393214fc4680f38eadee2d0a46a5f8b89aee8feb"),
@@ -205,6 +205,31 @@ def test_compete_output_is_pinned(args, digest):
     k_list, x0_max, trials, seed, dt = args
     result = mead.compete(k_list, x0_max, trials, seed, dt=dt)
     assert _sha256(json.dumps(result, sort_keys=True)) == digest
+
+
+# compete's output keeps only winners, step times and tie flags, which do not
+# see last-bit changes in the trajectory; these pin the bits of every
+# absorber total the race computes, in call order
+RACE_GOLDENS = {
+    "two": "d345d828a4ef1babf68b5abceee4a67f9a2b293b260ad8c7937acc8dfa78d0fb",
+    "nine": "60b9bd06b6a0b7c6f0ff4ba297062c11a927cb822aa1cdba1449cf891c666264",
+}
+
+
+@pytest.mark.parametrize("name, digest", RACE_GOLDENS.items(), ids=RACE_GOLDENS)
+def test_compete_race_totals_are_pinned(monkeypatch, name, digest):
+    k_list, x0_max, trials, seed, dt = COMPETE_GOLDENS[name][0]
+    totals = hashlib.sha256()
+    real = mead._absorber_total
+
+    def hashed(x, out=None):
+        total = real(x, out)
+        totals.update(total.tobytes())
+        return total
+
+    monkeypatch.setattr(mead, "_absorber_total", hashed)
+    mead.compete(k_list, x0_max, trials, seed, dt=dt)
+    assert totals.hexdigest() == digest
 
 
 @pytest.mark.parametrize("config, digest", PAIR_GOLDENS.values(), ids=PAIR_GOLDENS)
@@ -309,7 +334,7 @@ def test_field_snapshot_rejects_overlapping_atoms():
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    states = mead.integrate_pair(mead.default_config(k=1.0, x0=0.01, t_end=1.0))
+    states = mead.integrate_pair(mead.AvalancheConfig(k=1.0, x0=0.01, t_end=1.0))
     path = tmp_path / "trajectory.csv"
     mead.write_trajectory_csv(path, states)
     with open(path, newline="") as fh:

@@ -1,10 +1,28 @@
 """Every registered experiment runs through the uniform entry point."""
 
+import itertools
 import math
 
 import pytest
 
+from hqs.experiments import slits
 from hqs.experiments.registry import EXPERIMENTS
+from hqs.network import EchoTable, network_echo_table, sample_counts
+
+# the runners whose analytic values are one echo table that their counts are drawn from
+TABLE_BACKED = ("bubble", "delayed_choice", "epr", "hardy", "mz", "two_slit")
+
+
+def _bool_settings(name):
+    """The default params with every bool param set both ways."""
+    params = EXPERIMENTS[name].params
+    defaults = {k: p.default for k, p in params.items()}
+    flags = sorted(k for k, p in params.items() if p.kind is bool)
+    for values in itertools.product((False, True), repeat=len(flags)):
+        yield {**defaults, **dict(zip(flags, values))}
+
+
+TABLE_CASES = [(name, params) for name in TABLE_BACKED for params in _bool_settings(name)]
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -58,3 +76,23 @@ def test_delayed_choice_sweeps_the_screen_once_per_table(monkeypatch, n, sweeps)
     assert len(calls) == sweeps
     if n:
         assert set(result.analytic) == set(result.counts)
+
+
+@pytest.mark.parametrize(
+    "name, params", TABLE_CASES,
+    ids=[name + "".join(f"-{k}={v}" for k, v in p.items() if isinstance(v, bool)) for name, p in TABLE_CASES],
+)
+def test_counts_are_drawn_from_the_analytic_table(name, params):
+    run = EXPERIMENTS[name].run
+    analytic_only = run(params, None, 3)
+    sampled = run(params, 2_000, 3)
+    assert sampled.analytic == analytic_only.analytic
+    assert sampled.counts == sample_counts(EchoTable(sampled.analytic), 2_000, 3)
+
+
+@pytest.mark.parametrize("n", [None, 2_000])
+def test_screen_down_analytic_is_the_lens_network_sweep(n):
+    # the lens network's sweep gives 0.5000000000000001 per image, not 0.5
+    lens = network_echo_table(slits._lens_network()).entries
+    result = EXPERIMENTS["delayed_choice"].run({"screen_up": False, "decision_time": "before_slits"}, n, 3)
+    assert result.analytic == lens

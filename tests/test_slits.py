@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hqs.experiments import (
+    EXPERIMENTS,
     afshar,
     default_half_width,
-    delayed_choice,
     first_minimum_position,
     fringe_visibility,
     path_difference,
-    run_two_slit,
     two_slit,
 )
 
@@ -94,9 +93,11 @@ def test_labeled_profile_is_flat_and_incoherent():
 
 def test_monte_carlo_histogram_matches_profile():
     n = 100_000
-    profile, bins = run_two_slit(n=n, seed=3)
+    params = {k: p.default for k, p in EXPERIMENTS["two_slit"].params.items()}
+    curve = EXPERIMENTS["two_slit"].run(params, n, 3).curve
+    bins = curve["count"]
     assert sum(bins) == n
-    expected = np.array(profile.probabilities) * n
+    expected = np.array(curve["probability"]) * n
     observed = np.array(bins, dtype=float)
     # pool low-expectation bins so the chi-square approximation holds
     order = np.argsort(expected)
@@ -119,27 +120,30 @@ def test_monte_carlo_histogram_matches_profile():
 
 
 def test_delayed_choice_timing_label_changes_nothing():
+    run = EXPERIMENTS["delayed_choice"].run
     for screen_up in (True, False):
-        before = delayed_choice(screen_up, "before_slits", 5_000, seed=13)
-        after = delayed_choice(screen_up, "after_slits", 5_000, seed=13)
-        assert before["counts"] == after["counts"]  # bit-exact
+        before = run({"screen_up": screen_up, "decision_time": "before_slits"}, 5_000, 13)
+        after = run({"screen_up": screen_up, "decision_time": "after_slits"}, 5_000, 13)
+        assert before.counts == after.counts  # bit-exact
 
 
 def test_delayed_choice_modes():
-    up = delayed_choice(True, "before_slits", 2_000, seed=1)
-    assert up["mode"] == "screen"
-    assert up["profile"].visibility >= 1.0 - 1e-9
-    down = delayed_choice(False, "before_slits", 2_000, seed=1)
-    assert down["mode"] == "image"
-    assert set(down["counts"]) == {"img1", "img2"}
+    run = EXPERIMENTS["delayed_choice"].run
+    up = run({"screen_up": True, "decision_time": "before_slits"}, 2_000, 1)
+    # screen mode: every outcome is a screen bin
+    assert all(a.startswith("scr[") for a in up.counts)
+    assert up.extras["visibility"] >= 1.0 - 1e-9
+    down = run({"screen_up": False, "decision_time": "before_slits"}, 2_000, 1)
+    # image mode: the lens images each slit onto its own detector
+    assert set(down.counts) == {"img1", "img2"}
     # the lens restores a clean 50/50 which-way split
-    total = sum(down["counts"].values())
-    assert abs(down["counts"]["img1"] / total - 0.5) <= 4.0 * math.sqrt(0.25 / total)
+    total = sum(down.counts.values())
+    assert abs(down.counts["img1"] / total - 0.5) <= 4.0 * math.sqrt(0.25 / total)
 
 
 def test_delayed_choice_rejects_unknown_timing():
     with pytest.raises(ValueError):
-        delayed_choice(True, "later", 10, seed=0)
+        EXPERIMENTS["delayed_choice"].run({"screen_up": True, "decision_time": "later"}, 10, 0)
 
 
 def test_wire_grid_interception_oracle():
