@@ -11,7 +11,7 @@ Exit codes: 0 success, 2 configuration error, 1 internal error.
 
 Identical argv (plus seed) produces byte-identical output files; wall time
 goes to stderr, never into the payload.  Runs tally their samples on one
-thread, so no thread count reaches the output.
+thread; the HQS_THREADS environment variable sets nothing.
 """
 
 from __future__ import annotations
@@ -608,7 +608,7 @@ def _dynamics_avalanche(p, args) -> int:
 
 def _dynamics_compete(p, args) -> int:
     seed = 0 if args.seed is None else args.seed
-    result = mead.compete(p["k_list"], p["x0_max"], p["trials"], seed, dt=p["dt"])
+    result = mead.compete(p["k_list"], p["x0_max"], p["trials"], seed)
     payload = dict({key: result[key] for key in ("k_list", "trials", "win_counts", "win_fractions")}, seed=seed)
     _write_output((_dumps(payload) + "\n").encode(), args.out)
     return 0
@@ -637,12 +637,11 @@ DYNAMICS = {
     ),
     "compete": Experiment(
         "compete",
-        "absorbers racing for one quantum from random initial transfers; win counts JSON",
+        "absorbers racing for one quantum from random initial transfers, solved exactly; win counts JSON",
         {
             "k_list": Param(float, (1.0, 1.0), "coupling rate of each absorber", shape=(None,)),
             "x0_max": Param(float, 0.01, "largest initial transfer"),
             "trials": Param(int, 1000, "races run"),
-            "dt": Param(float, None, "RK4 step; default 0.02 / max(k_list)"),
         },
         _dynamics_compete,
     ),

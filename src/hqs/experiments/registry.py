@@ -107,8 +107,7 @@ def _run_delayed_choice(p, n, seed):
         return _sampled(network_echo_table(slits._lens_network()), n, seed)
     network = slits.slit_network()
     table = network_echo_table(network)
-    extras = {"visibility": slits._profile_from_table(table, network).visibility} if n else None
-    return _sampled(table, n, seed, extras)
+    return _sampled(table, n, seed, {"visibility": slits._profile_from_table(table, network).visibility})
 
 
 def _run_afshar(p, n, seed):

@@ -7,7 +7,8 @@ of the two dipole moments sqrt(x(1-x)), which for a lossless pair reduces
 to logistic growth: tiny transfers self-amplify, saturate, and leave the
 emitter empty and the absorber full.  Competing absorbers share the one
 emitter; whoever dominates when the quantum has fully drained wins the
-event.
+event.  compete solves that race exactly; integrate_pair steps one pair
+by RK4.
 
 Units: energies in eV, time in units of 1/k unless k has physical units,
 field grids in meters.
@@ -177,50 +178,41 @@ def time_to_level(k: float, x0: float, level: float) -> float:
     return math.log(level * (1.0 - x0) / (x0 * (1.0 - level))) / k
 
 
-def _absorber_total(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-trial sum over the absorber rows of an absorber-major block.
-
-    Adds the rows in the order numpy's pairwise summation adds the entries
-    of one contiguous row: left to right below 8 terms, eight interleaved
-    partial sums up to 128, halves split at a multiple of 8 beyond.  The
-    total is therefore bit-identical to summing each trial's absorbers in a
-    trial-major array, at the cost of whole-row adds.  It is written into
-    out when one is given (which must not overlap x).
-    """
-    n = len(x)
-    if n < 8:
-        total = np.add(x[0], x[1], out=out)
-        for row in x[2:]:
-            total += row
-        return total
-    if n <= 128:
-        tail = n - n % 8
-        acc = x[:8].copy()
-        for i in range(8, tail, 8):
-            acc += x[i:i + 8]
-        total = np.add((acc[0] + acc[1]) + (acc[2] + acc[3]), (acc[4] + acc[5]) + (acc[6] + acc[7]), out=out)
-        for row in x[tail:]:
-            total += row
-        return total
-    half = n // 2 - (n // 2) % 8
-    return np.add(_absorber_total(x[:half]), _absorber_total(x[half:]), out=out)
+def _exp(y: np.ndarray) -> np.ndarray:
+    """e**y (y capped at 709) by correctly rounded operations alone, so that, unlike np.exp's,
+    its bits do not depend on the CPU: 2**n e**r, r = y - n ln 2, e**r by Horner to degree 13."""
+    y = np.minimum(y, 709.0)
+    n = np.rint(y * 1.4426950408889634)
+    # Cody-Waite: ln 2 split so that n times its high part is exact for |n| < 2**21
+    r = (y - n * 6.93147180369123816490e-01) - n * 1.90821492927058770002e-10
+    p = np.full_like(r, 1.0 / math.factorial(13))
+    for i in range(12, -1, -1):
+        p *= r
+        p += 1.0 / math.factorial(i)
+    return np.ldexp(p, n.astype(np.int64))
 
 
-def compete(k_list, x0_max: float, trials: int, seed: int, dt: float | None = None) -> dict:
-    """Race several absorbers for one emitter's quantum.
+# 61 tanh-sinh nodes u and weights w over (0, 1), at step h = 0.1 with s = (pi / 2) sinh(j h):
+# u = (1 + tanh s) / 2 and w = (h / 2)(pi / 2) cosh(j h) / cosh(s)**2.  They crowd doubly
+# exponentially towards u = 1, just past which t*'s integrand 1 / (1 - S(u tau*)) has its pole
+_E = _exp(0.1 * np.arange(-30, 31.0))  # e**(j h)
+_E2 = _exp((0.5 * math.pi) * (_E - 1.0 / _E))  # e**(2 s)
+_COMPLETION_RULE = list(zip((_E2 / (1.0 + _E2)).tolist(),
+                            (0.05 * math.pi * (_E + 1.0 / _E) * _E2 / (1.0 + _E2) ** 2).tolist()))
+
+
+def compete(k_list, x0_max: float, trials: int, seed: int) -> dict:
+    """Race several absorbers for one emitter's quantum, solved exactly.
 
     Each trial draws every absorber's initial transfer uniformly from
-    [0, x0_max] (stream keyed by seed, trial, absorber) and integrates
-    dx_i/dt = k_i x_i (1 - sum_j x_j) with fixed-step RK4 until the
-    emitter has drained (total transfer reaches 0.99).  A uniform of
-    exactly 1.0 gives x0 = 0, and that absorber cannot win.  The leading
-    absorber at that step wins; an exact tie goes to the lowest index and
-    is flagged in the trial log.
-
-    The trials advance together as one absorber-major block, stepped in
-    place through stage buffers reused every step.  A finished trial's
-    column is zeroed, and dropped once half the block has finished; every
-    rounding is the per-trial formula's, so trial i depends on (seed, i) alone.
+    [0, x0_max] (stream keyed by seed, trial, absorber).  The transfers obey
+    dx_i/dt = k_i x_i (1 - sum_j x_j) until their total reaches 0.99; with
+    tau = integral of (1 - sum x) dt they decouple, x_i = x_i0 exp(k_i tau).
+    The largest x_i0 exp(k_i tau*) wins, where S(tau*) = sum_i x_i0
+    exp(k_i tau*) = 0.99, at t* = integral over [0, tau*] of dtau / (1 - S).
+    An exact tie goes to the lowest index and is flagged in the trial log; an
+    absorber with x0 = 0 (a uniform of exactly 1.0) cannot win, and a trial
+    that starts at 0.99 or more completes at t = 0.
     """
     k = np.asarray(list(k_list), dtype=float)
     if k.ndim != 1 or len(k) < 2:
@@ -231,95 +223,43 @@ def compete(k_list, x0_max: float, trials: int, seed: int, dt: float | None = No
         raise ValueError("x0_max must lie in (0, 0.5)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if dt is None:
-        dt = 0.02 / float(k.max())
-    elif not 0.0 < dt <= 0.02 / float(k.max()) * (1.0 + 1e-12):
-        raise ValueError("dt violates the stability bound")
 
-    n_abs = len(k)
-    # absorber-major: row j holds absorber j of every trial.
-    # x0 = (1 - u) x0_max: the top 1024 words give u = 1.0 and x0 = 0, which never grows
-    x = np.empty((n_abs, trials))
-    for j in range(n_abs):
-        u = uniform_block(seed, np.arange(trials, dtype=np.uint64), draw_index=j)
-        x[j] = (1.0 - u) * x0_max
+    # absorber-major: row j holds absorber j of every trial; the top 1024 words give u = 1.0
+    events = np.arange(trials, dtype=np.uint64)
+    x0 = np.array([(1.0 - uniform_block(seed, events, draw_index=j)) * x0_max for j in range(len(k))])
 
-    winners = np.full(trials, -1, dtype=np.int64)
-    win_time = np.zeros(trials)
-    ties = np.zeros(trials, dtype=bool)
-    t = 0.0
-    max_steps = int(math.ceil(60.0 / (float(k.min()) * dt)))
-    half, sixth = 0.5 * dt, dt / 6.0
+    def total(tau):
+        # S(tau) per trial, its rows added in order whatever the block's shape
+        terms = x0 * _exp(k[:, None] * tau)
+        return sum(terms[1:], terms[0])
 
-    def buffers(m):
-        # k1..k4, the stage state, 1 - total and k as a whole block (faster than a column)
-        return (*np.empty((5, n_abs, m)), np.empty(m), np.repeat(k[:, None], m, axis=1))
+    start = total(0.0)
+    if not start.all():
+        raise RuntimeError("competition failed to complete")
+    # S0 exp(k_min tau) <= S(tau) <= S0 exp(k_max tau) brackets tau*
+    span = np.array([math.log(max(COMPLETION_LEVEL / s, 1.0)) for s in start.tolist()])
+    lo, hi = span / k.max(), span / k.min()
+    mid = 0.5 * (lo + hi)
+    while ((lo < mid) & (mid < hi)).any():  # bisect down to adjacent floats
+        below = total(mid) < COMPLETION_LEVEL
+        # mid replaces only an end it differs from, so a closed bracket never moves
+        lo, hi = np.where(below & (mid < hi), mid, lo), np.where(~below & (lo < mid), mid, hi)
+        mid = 0.5 * (lo + hi)
 
-    def rate(out, state):
-        # k_i * state * (1 - total), rounded in that order, into out
-        np.subtract(1.0, total, out=one_minus)
-        np.multiply(k_block, state, out=out)
-        out *= one_minus
+    final = x0 * _exp(k[:, None] * hi)
+    winners = np.argmax(final, axis=0)
+    ties = np.count_nonzero(final == final[winners, np.arange(trials)], axis=0) > 1
+    # t* = tau* * integral over (0, 1) of du / (1 - S(u tau*)); S held to 0.99 keeps it finite
+    t = hi * sum(w / (1.0 - np.minimum(total(u * hi), COMPLETION_LEVEL)) for u, w in _COMPLETION_RULE)
 
-    # A finished column is recorded once and zeroed: it stays 0 and never
-    # reaches the completion level again.  live still marks the unfinished
-    # columns, since a trial whose every x0 is 0 never finishes and must fail.
-    cols = np.arange(trials)
-    live = np.ones(trials, dtype=bool)
-    n_live = trials
-    total = _absorber_total(x)
-    k1, k2, k3, k4, s, one_minus, k_block = buffers(trials)
-    for _ in range(max_steps):
-        rate(k1, x)
-        for k_prev, k_next, c in ((k1, k2, half), (k2, k3, half), (k3, k4, dt)):
-            np.multiply(k_prev, c, out=s)
-            s += x
-            _absorber_total(s, total)
-            rate(k_next, s)
-        # x += (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4), one rounding at a time
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= sixth
-        x += k2
-        _absorber_total(x, total)
-        t += dt
-        if total.max() < COMPLETION_LEVEL:
-            continue
-        j = np.flatnonzero(total >= COMPLETION_LEVEL)
-        finished = x[:, j]
-        lead = np.argmax(finished, axis=0)
-        best = finished[lead, np.arange(len(j))]
-        trial = cols[j]
-        winners[trial] = lead
-        win_time[trial] = t
-        # a tie means some other absorber matches the leader exactly
-        ties[trial] = np.count_nonzero(finished == best, axis=0) > 1
-        x[:, j] = 0.0
-        live[j] = False
-        n_live -= len(j)
-        if n_live == 0:
-            break
-        if 2 * n_live < len(cols):
-            x, total, cols = x[:, live], total[live], cols[live]
-            live = np.ones(n_live, dtype=bool)
-            k1, k2, k3, k4, s, one_minus, k_block = buffers(n_live)
-    if n_live:
-        raise RuntimeError("competition failed to complete; raise t cap")
-
-    win_counts = np.bincount(winners, minlength=n_abs).tolist()
-    log = [
-        {"trial": i, "winner": w, "t": tw, "tie": tie}
-        for i, (w, tw, tie) in enumerate(zip(winners.tolist(), win_time.tolist(), ties.tolist()))
-    ]
+    win_counts = np.bincount(winners, minlength=len(k)).tolist()
     return {
         "win_counts": win_counts,
         "win_fractions": [c / trials for c in win_counts],
         "k_list": [float(v) for v in k],
         "trials": trials,
-        "log": log,
+        "log": [{"trial": i, "winner": w, "t": tw, "tie": tie}
+                for i, (w, tw, tie) in enumerate(zip(winners.tolist(), t.tolist(), ties.tolist()))],
     }
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -254,6 +255,17 @@ def test_main_dynamics_models(tmp_path):
 def test_avalanche_rejects_the_removed_noise_knob(capsys):
     assert main(["dynamics", "avalanche", "--param", "noise_amplitude=0.1"]) == 2
     assert "unknown parameter 'noise_amplitude'" in capsys.readouterr().err
+
+
+def test_compete_rejects_the_removed_step_knob(capsys):
+    # compete solves the race exactly, so it has no RK4 step to choose
+    assert main(["dynamics", "compete", "--param", "dt=0.01"]) == 2
+    assert "unknown parameter 'dt'" in capsys.readouterr().err
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("dynamics compete: ")) + 1
+    listed = list(itertools.takewhile(lambda line: line.startswith("    "), lines[start:]))
+    assert [line.split()[0] for line in listed] == ["k_list", "x0_max", "trials"]
 
 
 @pytest.mark.parametrize(

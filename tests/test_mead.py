@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hqs import mead
 from hqs.rng import uniform_block
+from race_reference import completion_time, initial_transfers, race
 from scalar_reference import seed_for_word
 
 # CODATA electron volt-hertz relationship nu = e/h; the module derives
@@ -172,20 +173,20 @@ def test_competition_is_seed_deterministic():
     assert [e["winner"] for e in a["log"]] == [e["winner"] for e in b["log"]]
 
 
-# sha256 of outputs pinned from the per-trial scalar-loop implementation:
-# a faster compete or integrate_pair must reproduce them bit for bit
+# sha256 of compete's output, pinned from its closed-form solve; every
+# operation on the race arrays rounds correctly, so no CPU changes these bits
 COMPETE_GOLDENS = {
-    "two": (([1.0, 1.15], 0.01, 300, 5, None),
-            "df76569432140355abe8bef711444c7afa05c8ac4d4e683b2b30c87e65104976"),
-    "three-x0_max": (([1.1, 1.0, 0.95], 0.03, 250, 9, None),
-                     "86d232383f3fdb32394e2c373801714a4f2e1ae0a2dc8bd2ee85c6a09075e08e"),
-    "four-dt": (([0.9, 1.0, 1.2, 1.05], 0.01, 200, 13, 0.004),
-                "636fb621d0578a3241f29fa79f02219d0a3c3f63d860d37a02f632c6e65c23c6"),
-    # 8 or more absorbers: the path whose totals take _absorber_total's pairwise order
-    "nine": (([1.0, 1.1, 0.9, 1.2, 0.95, 1.05, 1.15, 0.85, 1.3], 0.01, 40, 17, None),
-             "c9c5fe4a7145cbe0175757b3223e444c9314ceec949c501ff55a5f3c96697fef"),
-    "130": (([1.0 + 0.005 * i for i in range(130)], 0.02, 30, 19, None),
-            "cc81b58658449aea32c5ce7171fb335e7aa2cd8fb99be472a9880d4f4581883d"),
+    "two": (([1.0, 1.15], 0.01, 300, 5),
+            "7b2e78b025120b35c4f304f011d3161bb631d77193734a37693533961f301bfe"),
+    "three-x0_max": (([1.1, 1.0, 0.95], 0.03, 250, 9),
+                     "d1a958c924ea4bccdb8e79110c9a8a7870374e70049e8edb388b9c8f3bc3ee1c"),
+    "four-dt": (([0.9, 1.0, 1.2, 1.05], 0.01, 200, 13),
+                "04039859617558ba64cb06adeabeb0765411993dd3adc459619f0abd8ab0cf86"),
+    "nine": (([1.0, 1.1, 0.9, 1.2, 0.95, 1.05, 1.15, 0.85, 1.3], 0.01, 40, 17),
+             "e48bc882890ca5ecdfe9ca4149280c81ca3a2d43a924009b19018cc739b9ef62"),
+    # every trial starts past the completion level, so each completes at t = 0
+    "130": (([1.0 + 0.005 * i for i in range(130)], 0.02, 30, 19),
+            "aeb0e847cb4b8866b5fb2c621d648ca5799ab211bf5322364bbe0882e20fe9a9"),
 }
 
 PAIR_GOLDENS = {
@@ -202,34 +203,7 @@ def _sha256(text: str) -> str:
 
 @pytest.mark.parametrize("args, digest", COMPETE_GOLDENS.values(), ids=COMPETE_GOLDENS)
 def test_compete_output_is_pinned(args, digest):
-    k_list, x0_max, trials, seed, dt = args
-    result = mead.compete(k_list, x0_max, trials, seed, dt=dt)
-    assert _sha256(json.dumps(result, sort_keys=True)) == digest
-
-
-# compete's output keeps only winners, step times and tie flags, which do not
-# see last-bit changes in the trajectory; these pin the bits of every
-# absorber total the race computes, in call order
-RACE_GOLDENS = {
-    "two": "d345d828a4ef1babf68b5abceee4a67f9a2b293b260ad8c7937acc8dfa78d0fb",
-    "nine": "60b9bd06b6a0b7c6f0ff4ba297062c11a927cb822aa1cdba1449cf891c666264",
-}
-
-
-@pytest.mark.parametrize("name, digest", RACE_GOLDENS.items(), ids=RACE_GOLDENS)
-def test_compete_race_totals_are_pinned(monkeypatch, name, digest):
-    k_list, x0_max, trials, seed, dt = COMPETE_GOLDENS[name][0]
-    totals = hashlib.sha256()
-    real = mead._absorber_total
-
-    def hashed(x, out=None):
-        total = real(x, out)
-        totals.update(total.tobytes())
-        return total
-
-    monkeypatch.setattr(mead, "_absorber_total", hashed)
-    mead.compete(k_list, x0_max, trials, seed, dt=dt)
-    assert totals.hexdigest() == digest
+    assert _sha256(json.dumps(mead.compete(*args), sort_keys=True)) == digest
 
 
 @pytest.mark.parametrize("config, digest", PAIR_GOLDENS.values(), ids=PAIR_GOLDENS)
@@ -237,18 +211,6 @@ def test_integrate_pair_trajectory_is_pinned(config, digest):
     states = mead.integrate_pair(config)
     text = "\n".join(f"{s.t.hex()} {s.x_emitter.hex()} {s.x_absorber.hex()}" for s in states)
     assert _sha256(text) == digest
-
-
-@pytest.mark.parametrize("n_abs", [2, 3, 4, 7, 8, 13, 128, 131, 300])
-def test_absorber_total_matches_the_trial_major_sum(n_abs):
-    trial_major = np.random.default_rng(n_abs).random((500, n_abs)) * 0.3
-    block = np.ascontiguousarray(trial_major.T)
-    total = mead._absorber_total(block)
-    assert np.array_equal(total, trial_major.sum(axis=1))
-    # compete's stage totals go into a reused buffer, in the same order
-    out = np.empty(500)
-    assert mead._absorber_total(block, out=out) is out
-    assert np.array_equal(out, total)
 
 
 @settings(max_examples=8, deadline=None)
@@ -259,8 +221,8 @@ def test_absorber_total_matches_the_trial_major_sum(n_abs):
     seed=st.integers(0, 2**32),
 )
 def test_each_trial_is_independent_of_the_trial_count(k_list, n, data, seed):
-    # trial i is a pure function of (seed, i), so however the live block is
-    # compacted, a shorter run is a prefix of a longer one
+    # trial i is a pure function of (seed, i): its bisection stops on its own
+    # bracket, so a shorter run is a prefix of a longer one
     m = data.draw(st.integers(1, n - 1))
     short = mead.compete(k_list, 0.01, m, seed)["log"]
     assert short == mead.compete(k_list, 0.01, n, seed)["log"][:m]
@@ -272,15 +234,34 @@ def test_an_absorber_that_starts_at_zero_never_wins():
     assert seed == 7552269692723959508
     assert uniform_block(seed, np.zeros(1, dtype=np.uint64), draw_index=0)[0] == 1.0
     result = mead.compete([1.0, 1.0], 0.01, 16, seed)
-    assert result["log"][0] == {"trial": 0, "winner": 1, "t": 10.27999999999987, "tie": False}
+    assert result["log"][0] == {"trial": 0, "winner": 1, "t": 10.261799726316111, "tie": False}
     assert sum(result["win_counts"]) == 16
     assert _sha256(json.dumps(result, sort_keys=True)) == (
-        "9aa9223e84c2df1e44dd92546f363a6fca96665ed2ca42ae013e32322b4bdaf1")
+        "7815a412de2f0e01574db5ff97a9c9e333ea9b274efaca879a8bac01ab888121")
+
+
+def test_an_idle_absorber_whose_exponent_passes_709_stays_at_zero(monkeypatch):
+    # absorber 1 draws x0 = 0 in every trial; at tau* its k tau passes 709,
+    # where an uncapped exp gives inf and 0 * inf a nan winner
+    def draws(seed, events, draw_index):
+        u = uniform_block(seed, events, draw_index)
+        if draw_index == 1:
+            u[:] = 1.0
+        return u
+
+    monkeypatch.setattr(mead, "uniform_block", draws)
+    k_list, x0_max, seed = [0.5, 80.0], 0.01, 4
+    log = mead.compete(k_list, x0_max, 3, seed)["log"]
+    for trial in range(3):
+        x0 = initial_transfers(seed, trial, 1, x0_max)[0]
+        assert 80.0 * math.log(mead.COMPLETION_LEVEL / x0) / 0.5 > 709.0
+        assert log[trial]["winner"] == 0
+        assert log[trial]["t"] == pytest.approx(completion_time(k_list, [x0, 0.0]), rel=1e-9, abs=0.0)
 
 
 def test_a_trial_with_every_absorber_at_zero_fails_to_complete(monkeypatch):
-    # trial 0 never grows while the others finish and are zeroed in the
-    # block; the unfinished trial must still be reported
+    # trial 0 never grows, so its total never reaches the completion level,
+    # though the other trials complete
     def draws(seed, events, draw_index):
         u = uniform_block(seed, events, draw_index)
         u[0] = 1.0
@@ -289,6 +270,65 @@ def test_a_trial_with_every_absorber_at_zero_fails_to_complete(monkeypatch):
     monkeypatch.setattr(mead, "uniform_block", draws)
     with pytest.raises(RuntimeError, match="failed to complete"):
         mead.compete([1.0, 2.0, 1.5], 0.01, 5, seed=0)
+
+
+def test_exp_is_the_correctly_rounded_exponential_to_an_ulp():
+    y = np.linspace(0.0, 60.0, 20_001)
+    exact = np.array([math.exp(v) for v in y.tolist()])
+    assert float(np.max(np.abs(mead._exp(y) - exact) / exact)) <= 2.3e-16
+    assert mead._exp(np.zeros(1))[0] == 1.0
+    # capped where e**y is still finite, so zero transfers stay zero
+    assert np.isfinite(mead._exp(np.array([1e4]))[0])
+
+
+NEAR_TIE = 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    k_list=st.lists(st.floats(0.5, 8.0), min_size=2, max_size=12),
+    x0_max=st.floats(0.005, 0.05),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_the_closed_form_matches_the_integrated_race(k_list, x0_max, seed):
+    # race_reference integrates dx_i/dt = k_i x_i (1 - sum x) in t, one trial at
+    # a time; only a race whose top two transfers end within NEAR_TIE of each
+    # other may go either way
+    trials = 4
+    log = mead.compete(k_list, x0_max, trials, seed)["log"]
+    near_ties = 0
+    for trial in range(trials):
+        x, t = race(k_list, initial_transfers(seed, trial, len(k_list), x0_max))
+        second, top = np.sort(x)[-2:]
+        if top - second <= NEAR_TIE * top:
+            near_ties += 1
+        else:
+            assert log[trial]["winner"] == int(np.argmax(x))
+        assert log[trial]["t"] == pytest.approx(t, rel=1e-8, abs=0.0)
+    assert near_ties < trials
+
+
+@pytest.mark.parametrize("k_list, x0_max, seed", [
+    ([1.0, 2.0], 0.01, 0),
+    ([0.5, 8.0, 3.0], 0.05, 1),
+    ([1.0 + 0.5 * i for i in range(12)], 0.005, 2),
+])
+def test_completion_time_matches_adaptive_quadrature(k_list, x0_max, seed):
+    # t* = integral over [0, tau*] of dtau / (1 - S(tau)), by scipy's quad
+    log = mead.compete(k_list, x0_max, 3, seed)["log"]
+    for trial in range(3):
+        exact = completion_time(k_list, initial_transfers(seed, trial, len(k_list), x0_max))
+        assert log[trial]["t"] == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+def test_a_trial_that_starts_complete_finishes_at_zero_won_by_its_largest_start():
+    k_list, x0_max, trials, seed = [1.0 + 0.005 * i for i in range(130)], 0.02, 30, 19
+    log = mead.compete(k_list, x0_max, trials, seed)["log"]
+    for trial in range(trials):
+        x0 = initial_transfers(seed, trial, len(k_list), x0_max)
+        assert x0.sum() >= mead.COMPLETION_LEVEL
+        assert math.copysign(1.0, log[trial]["t"]) == 1.0 and log[trial]["t"] == 0.0
+        assert log[trial]["winner"] == int(np.argmax(x0))
 
 
 def test_competition_input_validation():

@@ -96,3 +96,12 @@ def test_screen_down_analytic_is_the_lens_network_sweep(n):
     lens = network_echo_table(slits._lens_network()).entries
     result = EXPERIMENTS["delayed_choice"].run({"screen_up": False, "decision_time": "before_slits"}, n, 3)
     assert result.analytic == lens
+
+
+def test_screen_up_reports_the_fringe_visibility_with_or_without_events():
+    # the visibility is read from the analytic table alone, as two_slit's is
+    params = {"screen_up": True, "decision_time": "before_slits"}
+    analytic_only = EXPERIMENTS["delayed_choice"].run(params, None, 3).extras
+    sampled = EXPERIMENTS["delayed_choice"].run(params, 2_000, 3).extras
+    two_slit = EXPERIMENTS["two_slit"].run({k: p.default for k, p in EXPERIMENTS["two_slit"].params.items()}, None, 3)
+    assert analytic_only == sampled == {"visibility": two_slit.extras["visibility"]}
