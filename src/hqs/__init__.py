@@ -16,20 +16,16 @@ from .mead import (
     AtomPairState,
     AvalancheConfig,
     FieldGrid,
-    beat_frequency,
     compete,
-    dipole_amplitude,
     dipole_signal,
     field_snapshot,
     integrate_pair,
-    logistic_exact,
     time_to_level,
 )
 from .network import (
     Element,
     EchoTable,
     OpticalNetwork,
-    ValidationReport,
     calibrated,
     network_echo_table,
     replay,
@@ -37,7 +33,7 @@ from .network import (
     validate,
 )
 from .rng import uniform_block
-from .wavecore import HORIZONTAL, VERTICAL, PolarizedAmplitude, path_phase
+from .wavecore import VERTICAL, PolarizedAmplitude, path_phase
 
 __version__ = "0.1.0"
 
@@ -47,19 +43,14 @@ __all__ = [
     "EchoTable",
     "Element",
     "FieldGrid",
-    "HORIZONTAL",
     "OpticalNetwork",
     "PolarizedAmplitude",
-    "ValidationReport",
     "VERTICAL",
-    "beat_frequency",
     "calibrated",
     "compete",
-    "dipole_amplitude",
     "dipole_signal",
     "field_snapshot",
     "integrate_pair",
-    "logistic_exact",
     "network_echo_table",
     "path_phase",
     "replay",

@@ -165,8 +165,9 @@ def parse_config(text: str):
 _WS = re.compile(r"[ \t\n\r]*")
 
 
-def _byte_offset(text: str, i: int) -> int:
-    return len(text[:i].encode("utf-8", "surrogatepass"))
+def _byte_offset(text: str, i: int, start: int = 0) -> int:
+    """The UTF-8 length of text[start:i]."""
+    return len(text[start:i].encode("utf-8", "surrogatepass"))
 
 
 def _id_offsets(text: str) -> list:
@@ -197,10 +198,12 @@ def _id_offsets(text: str) -> list:
 
     # json.loads keeps the last of repeated keys, and so does this
     elements = [at for key, _, at in members(skip(0)) if key == "elements"][-1]
-    own = []
+    own, done, count = [], 0, 0  # count: the bytes of text[:done]; the ids come in order, so each gap is encoded once
     for _, _, at in members(elements):
         ids = [key_at for key, key_at, _ in members(at) if key == "id"] if text[at] == "{" else []
-        own.append(_byte_offset(text, ids[-1]) if ids else None)
+        if ids:
+            done, count = ids[-1], count + _byte_offset(text, ids[-1], done)
+        own.append(count if ids else None)
     return own
 
 

@@ -35,11 +35,6 @@ def epr_table(theta_l: float, theta_r: float) -> EchoTable:
     return EchoTable(probs)
 
 
-def p_different(theta_l: float, theta_r: float) -> float:
-    t = epr_table(theta_l, theta_r).entries
-    return t["HV"] + t["VH"]
-
-
 def correlation(theta_l: float, theta_r: float) -> float:
     t = epr_table(theta_l, theta_r).entries
     return t["HH"] + t["VV"] - t["HV"] - t["VH"]

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from ..network import EchoTable, Element, OpticalNetwork, network_echo_table, sample_counts
+from ..network import Element, OpticalNetwork, network_echo_table, sample_counts
 from .profiles import fringe_visibility
 
 ERASER_AXIS = 45.0
@@ -66,17 +66,6 @@ def eraser_network(qwp_in: bool, eraser_in: bool, phase: float) -> OpticalNetwor
     return OpticalNetwork(tuple(elements), "pump")
 
 
-def eraser_rates(qwp_in: bool, eraser_in: bool, phase: float) -> dict:
-    """Outcome probabilities at one pump-mirror phase: coincidence,
-    idler_blocked (zero without the eraser) and no_pair."""
-    echoes = network_echo_table(eraser_network(qwp_in, eraser_in, phase)).entries
-    return {
-        "coincidence": echoes["coincidence"],
-        "idler_blocked": echoes.get("idler.absorbed", 0.0),
-        "no_pair": echoes["no_pair"],
-    }
-
-
 def eraser_scan(
     qwp_in: bool,
     eraser_in: bool,
@@ -88,7 +77,8 @@ def eraser_scan(
 
     Returns phases, analytic rates, empirical rates (None without n) and
     the fringe visibility of whichever rate curve is most direct: sampled
-    when Monte Carlo ran, analytic otherwise.
+    when Monte Carlo ran, analytic otherwise.  Each phase's counts are
+    drawn from the very table its analytic rate is read from.
     """
     if phase_scan is None:
         phase_scan = default_phase_scan()
@@ -98,13 +88,13 @@ def eraser_scan(
     if n is not None and n < 1:
         raise ValueError("n must be >= 1")
 
-    rates = [eraser_rates(qwp_in, eraser_in, p) for p in phase_scan]
-    analytic = [r["coincidence"] for r in rates]
+    tables = [network_echo_table(eraser_network(qwp_in, eraser_in, p)) for p in phase_scan]
+    analytic = [t.entries["coincidence"] for t in tables]
     empirical = None
     if n is not None:
         empirical = [
-            sample_counts(EchoTable(r), n, seed, base_event_index=k * n)["coincidence"] / n
-            for k, r in enumerate(rates)
+            sample_counts(t, n, seed, base_event_index=k * n)["coincidence"] / n
+            for k, t in enumerate(tables)
         ]
     curve = empirical if empirical is not None else analytic
     return {

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,3 @@ class IntensityProfile:
     def __post_init__(self):
         if len(self.bin_centers) != len(self.probabilities):
             raise ValueError("bin/probability length mismatch")
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.probabilities)

@@ -110,9 +110,6 @@ class OpticalNetwork:
     def element(self, elem_id: str) -> Element:
         return self.elements[self._index[elem_id]]
 
-    def __contains__(self, elem_id: str) -> bool:
-        return elem_id in self._index
-
 
 @dataclass(frozen=True)
 class Defect:
@@ -146,10 +143,6 @@ class EchoTable:
     """
 
     entries: dict
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.entries.values())
 
     @cached_property
     def _selection(self) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -218,12 +211,11 @@ def _compile(network: OpticalNetwork) -> _Plan:
     src = None if s0 is None else elements[s0]
     if src is None or src.kind != "source":
         add("missing source", network.source_id if src is None else f"{src.id} has kind {src.kind}", network.source_id)
-    # a bare terminal (a detector or blocker, no params, no outputs) has no checks, no successors and no walk
-    bare = [e.kind in ("blocker", "detector") and not e.params and not e.outputs for e in elements]
+    # a bare terminal (a detector or blocker, no params, no outputs) has no checks, no successors and no walk,
+    # unless it is named for a polarizer's absorbed port: it shares that absorber, whose sum runs in Kahn order
+    absorbed = {f"{e.id}.absorbed" for e in elements if e.kind == "polarizer"}
+    bare = [e.kind in ("blocker", "detector") and not e.params and not e.outputs and e.id not in absorbed for e in elements]
     live = list(compress(range(n), map(not_, bare)))
-    # but one named for a polarizer's absorbed port shares that absorber, whose sum runs in Kahn order
-    for t in {index.get(f"{elements[i].id}.absorbed") for i in live if elements[i].kind == "polarizer"} - {None}:
-        bare[t], live = False, sorted({*live, t})
     # wired: per element, (target, slot) for each output port in sorted order, None for an unknown target
     successors, wired = [()] * n, [()] * n
     slot, collided, odd, indegree = {(s0, ""): 0}, set(), set(), [0] * n  # slot: (element, input port) -> slot
@@ -271,10 +263,15 @@ def _compile(network: OpticalNetwork) -> _Plan:
             elif not bare[t]:  # a bare terminal's inputs are read off the slots after the walk
                 inputs[t].append((tport, k))
             ws.append((t, k))
-    for t, tport in sorted(collided, key=lambda key: (elements[key[0]].id, key[1])):
-        tid, k = elements[t].id, slot[t, tport]
-        feeders = sorted(elements[i].id for i, ws in enumerate(wired) for w in ws if w and w[1] == k)
-        add("input collision", f"{tid}:{tport} fed by {', '.join(feeders)}", tid)
+    if collided:  # each collided slot's feeders, from one pass over the edges
+        feeders = {slot[key]: [] for key in collided}
+        for i, ws in enumerate(wired):
+            for w in ws:
+                if w and w[1] in feeders:
+                    feeders[w[1]].append(elements[i].id)
+        for t, tport in sorted(collided, key=lambda key: (elements[key[0]].id, key[1])):
+            tid = elements[t].id
+            add("input collision", f"{tid}:{tport} fed by {', '.join(sorted(feeders[slot[t, tport]]))}", tid)
 
     # the sweep needs unique ids, known kinds, a source and usable params
     if any(d.kind in ("unknown kind", "missing source", "duplicate id", "bad params") for d in defects):

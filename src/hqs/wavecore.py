@@ -70,7 +70,6 @@ class PolarizedAmplitude:
 
 
 VERTICAL = PolarizedAmplitude(v=1.0 + 0j)
-HORIZONTAL = PolarizedAmplitude(h=1.0 + 0j)
 
 
 def path_phase(length: float) -> complex:

@@ -19,9 +19,8 @@ from hqs.experiments import (
     epr_table,
     ev_recursive,
     mach_zehnder,
-    path_difference,
-    two_slit,
 )
+from hqs.experiments.slits import path_difference, two_slit
 from hqs import mead
 from hqs.network import sample_counts
 

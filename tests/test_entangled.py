@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from hqs.experiments import (
-    CHSH_ANGLES,
-    EXPERIMENTS,
-    chsh,
-    chsh_analytic,
-    correlation,
-    epr_table,
-    p_different,
-)
+from hqs.experiments import EXPERIMENTS, chsh, chsh_analytic, epr_table
+from hqs.experiments.entangled import CHSH_ANGLES, correlation
 from hqs.network import sample_counts
+
+
+def p_different(theta_l: float, theta_r: float) -> float:
+    t = epr_table(theta_l, theta_r).entries
+    return t["HV"] + t["VH"]
 
 
 def tensor_oracle(theta_l: float, theta_r: float) -> dict:

@@ -5,8 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from hqs.experiments import EXPERIMENTS, eraser_rates, eraser_scan
-from hqs.experiments.eraser import default_phase_scan
+from hqs.experiments import EXPERIMENTS, eraser_scan
+from hqs.experiments.eraser import default_phase_scan, eraser_network
+from hqs.network import network_echo_table
+
+
+def eraser_rates(qwp_in: bool, eraser_in: bool, phase: float) -> dict:
+    """The swept table at one phase under the oracle's names: idler.absorbed
+    is idler_blocked, which is zero without the eraser."""
+    echoes = network_echo_table(eraser_network(qwp_in, eraser_in, phase)).entries
+    return {
+        "coincidence": echoes["coincidence"],
+        "idler_blocked": echoes.get("idler.absorbed", 0.0),
+        "no_pair": echoes["no_pair"],
+    }
 
 
 def closed_form_rates(qwp_in: bool, eraser_in: bool, phase: float) -> dict:

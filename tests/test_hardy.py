@@ -123,4 +123,4 @@ def test_monte_carlo_outcomes():
 def test_atom_state_must_be_normalized():
     with pytest.raises(ValueError):
         hardy_table(atom_state=(1.0, 1.0))
-    assert hardy_table(atom_state=X_PLUS).total == pytest.approx(1.0)
+    assert math.fsum(hardy_table(atom_state=X_PLUS).entries.values()) == pytest.approx(1.0)

@@ -1,6 +1,7 @@
 """Network validation, offer propagation, echo bookkeeping, event sampling."""
 
 import dataclasses
+import gc
 import math
 import time
 
@@ -151,7 +152,7 @@ def test_echo_table_interferes_paths():
     table = network_echo_table(balanced_mz())
     assert table.entries["D1"] == pytest.approx(1.0)
     assert table.entries["D2"] == pytest.approx(0.0, abs=1e-15)
-    assert table.total == pytest.approx(1.0)
+    assert math.fsum(table.entries.values()) == pytest.approx(1.0)
 
 
 def test_blocked_mz_splits_quarter_quarter_half():
@@ -410,7 +411,7 @@ def test_polarizer_routes_rejected_light_to_implicit_absorber():
     table = network_echo_table(net)
     assert table.entries["D"] == pytest.approx(0.5)
     assert table.entries["P.absorbed"] == pytest.approx(0.5)
-    assert table.total == pytest.approx(1.0)
+    assert math.fsum(table.entries.values()) == pytest.approx(1.0)
 
 
 def test_phase_segment_changes_nothing_but_phase():
@@ -548,6 +549,55 @@ def test_twenty_splitter_chain_is_accepted_quickly():
     assert table.entries["D1"] == pytest.approx(abs(state[0]) ** 2, abs=1e-12)
     assert table.entries["D2"] == pytest.approx(abs(state[1]) ** 2, abs=1e-12)
     assert elapsed < 1.0
+
+
+def _growth(build, n: int = 500) -> float:
+    """validate's time on build(8n) over its time on build(n), each the best
+    of 3 with the GC off, so it times the compile's own work: about 8 when
+    that work is linear, 64 when it is quadratic."""
+    def best(size):
+        times = []
+        for _ in range(3):
+            net = build(size)
+            gc.disable()
+            try:
+                started = time.perf_counter()
+                validate(net)
+                times.append(time.perf_counter() - started)
+            finally:
+                gc.enable()
+        return min(times)
+
+    return best(8 * n) / best(n)
+
+
+def _collisions(n: int) -> OpticalNetwork:
+    # every detector is fed twice, by two of the source's ports
+    outputs = {f"out{k:05d}": f"D{k // 2}" for k in range(2 * n)}
+    return OpticalNetwork((Element("L", "source", outputs=outputs),
+                           *(Element(f"D{k}", "detector") for k in range(n))), "L")
+
+
+def _absorbed_port_detectors(n: int) -> OpticalNetwork:
+    # a chain of polarizers, each with a detector named for its absorbed port
+    elements = [Element("L", "source", outputs={"out": "P0"}), Element("D", "detector")]
+    for k in range(n):
+        elements += [Element(f"P{k}", "polarizer", {"axis": 30.0}, {"out": f"P{k + 1}" if k + 1 < n else "D"}),
+                     Element(f"P{k}.absorbed", "detector")]
+    return OpticalNetwork(tuple(elements), "L")
+
+
+def test_input_collisions_are_reported_in_linear_time():
+    collisions = [str(d) for d in validate(_collisions(3)).defects if d.kind == "input collision"]
+    assert collisions == [f"input collision: D{k}:in fed by L, L" for k in range(3)]
+    assert _growth(_collisions) <= 20
+
+
+def test_detectors_on_absorbed_ports_compile_in_linear_time():
+    echoes = validate(_absorbed_port_detectors(3)).echoes  # each detector shares its polarizer's absorber
+    assert list(echoes) == ["D", "P0.absorbed", "P1.absorbed", "P2.absorbed"]
+    assert echoes["P0.absorbed"] == pytest.approx(0.75)  # the vertical emission off a 30-degree axis
+    assert _growth(_absorbed_port_detectors) <= 20
 
 
 def test_sample_counts_refuses_a_negative_event_count():

@@ -394,3 +394,20 @@ def test_shuffling_the_elements_leaves_the_envelope_bytes_unchanged(doc, rng):
     rng.shuffle(elements)
     original, shuffled = _envelopes(doc, dict(doc, elements=elements))
     assert shuffled == original
+
+
+def test_offsets_encode_each_character_of_the_document_once(monkeypatch):
+    # ids with a two-byte character, so byte and character offsets differ; the bad element comes last
+    n = 2000
+    elements = [{"id": "L", "kind": "source", "outputs": {"out": "é0"}}]
+    elements += [{"id": f"é{k}", "kind": "mirror", "outputs": {"out": f"é{k + 1}"}} for k in range(n)]
+    elements += [{"id": f"é{n}", "kind": "phase_segment", "params": {"length": -1.0}, "outputs": {"out": "D"}},
+                 {"id": "D", "kind": "detector"}]
+    text = json.dumps({"source": "L", "elements": elements}, ensure_ascii=False)
+    scanned, byte_offset = [], cli._byte_offset
+    monkeypatch.setattr(cli, "_byte_offset", lambda s, i, start=0: scanned.append(i - start) or byte_offset(s, i, start))
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.parse_config(text)
+    at = len(text[:text.index(f'"id": "é{n}"')].encode())
+    assert str(exc.value) == f"invalid network: bad params: é{n}: negative length (element at byte {at})"
+    assert 0 < sum(scanned) <= 2 * len(text)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import optics_reference as hand
 from hqs.cli import RunSpec, run_spec
 from hqs.experiments import eraser, hardy
-from hqs.network import EchoTable, OpticalNetwork, sample_counts
+from hqs.network import EchoTable, OpticalNetwork, network_echo_table, sample_counts
 
 TOL = 4 * math.ulp(1.0)
 PAIRS = [(False, False), (False, True), (True, False), (True, True)]
@@ -49,7 +49,10 @@ def test_hardy_network_matches_the_hand_table(state):
 @settings(max_examples=15, deadline=None, phases=[Phase.generate])
 @given(turns)
 def test_eraser_network_matches_the_hand_rates(qwp_in, eraser_in, phase):
-    assert_within_tol(eraser.eraser_rates(qwp_in, eraser_in, phase), hand.eraser_rates(qwp_in, eraser_in, phase))
+    echoes = network_echo_table(eraser.eraser_network(qwp_in, eraser_in, phase)).entries
+    net = {"coincidence": echoes["coincidence"], "idler_blocked": echoes.get("idler.absorbed", 0.0),
+           "no_pair": echoes["no_pair"]}
+    assert_within_tol(net, hand.eraser_rates(qwp_in, eraser_in, phase))
 
 
 def test_sampled_counts_are_those_of_the_hand_tables():

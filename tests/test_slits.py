@@ -8,15 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from hqs.experiments import (
-    EXPERIMENTS,
-    afshar,
-    default_half_width,
-    first_minimum_position,
-    fringe_visibility,
-    path_difference,
-    two_slit,
-)
+from hqs.experiments import EXPERIMENTS, afshar, fringe_visibility
+from hqs.experiments.slits import default_half_width, first_minimum_position, path_difference, two_slit
 
 
 def test_path_difference_oracle():
@@ -60,7 +53,7 @@ def test_default_screen_width_places_a_bin_on_the_minimum():
 def test_unlabeled_fringes_reach_full_visibility():
     profile = two_slit()
     assert len(profile.bin_centers) == 201
-    assert profile.total == pytest.approx(1.0, abs=1e-9)
+    assert math.fsum(profile.probabilities) == pytest.approx(1.0, abs=1e-9)
     assert profile.visibility >= 1.0 - 1e-9
 
 
