@@ -632,8 +632,8 @@ DYNAMICS = {
         {
             "k": Param(float, 1.0, "coupling rate"),
             "x0": Param(float, 0.01, "initial transfer"),
-            "t_end": Param(float, None, "integration time; default 20/k"),
-            "dt": Param(float, None, "RK4 step; default 0.005/k"),
+            "t_end": Param(float, None, "end of the trajectory; default 20/k"),
+            "dt": Param(float, None, "sample spacing; default 0.005/k; t_end/dt at most 10**6"),
             "omega": Param(float, None, "beat frequency whose period dt must resolve"),
         },
         _dynamics_avalanche,

@@ -347,7 +347,9 @@ def _compile(network: OpticalNetwork) -> _Plan:
 
     absorbers = sorted(dict.fromkeys([*pid, *(b for _, bins, _ in screens for b in bins)]))  # no set: in near order
     at = {aid: i for i, aid in enumerate(absorbers)}
-    unreachable = tuple(e.id for e in compress(elements, map(not_, reached)) if e.kind in TERMINAL_KINDS)
+    # a terminal named for one of the absorbers (a polarizer's absorbed port) shares it, so it is reached
+    unreachable = tuple(e.id for e in compress(elements, map(not_, reached))
+                        if e.kind in TERMINAL_KINDS and e.id not in at)
     return _Plan(tuple(defects), tuple(steps), nslots, unreachable, tuple(absorbers),
                  (np.fromiter(map(at.__getitem__, pid), np.intp, len(pid)), np.array(pk, dtype=np.intp)),
                  tuple((np.array([at[b] for b in bins], dtype=np.intp), ports) for _, bins, ports in screens))

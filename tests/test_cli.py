@@ -705,16 +705,32 @@ def test_a_network_value_of_the_wrong_type_is_a_config_error_naming_it(tmp_path,
 @pytest.mark.parametrize(
     "params, message",
     [(["k=0"], "k must be positive"), (["omega=0"], "omega must be positive"),
-     (["k=1e-300", "dt=1e-300"], "t_end / dt must be a finite number of steps")],
-    ids=["k=0", "omega=0", "step-count-overflows"],
+     (["k=1e-300", "dt=1e-300"], "t_end / dt must be a finite number of steps"),
+     (["dt=1e-300"], "t_end / dt = 2e+301 steps is over the cap of 1000000")],
+    ids=["k=0", "omega=0", "step-count-overflows", "step-count-over-the-cap"],
 )
 def test_avalanche_values_that_divide_by_zero_or_overflow_are_config_errors(capsys, params, message):
-    # t_end = 20/k and the dt bound of omega divide by them; t_end/dt counts the steps
+    # t_end = 20/k and the dt bound of omega divide by them; t_end/dt counts the steps,
+    # which are refused before any is taken when there are more than 10**6
     argv = ["dynamics", "avalanche"]
     for p in params:
         argv += ["--param", p]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_detector_on_an_unfed_absorbed_port_reads_the_polarizers_echo(tmp_path):
+    # no edge feeds P0.absorbed: the polarizer's absorber is what makes it reachable
+    doc = {"source": "L", "elements": [
+        {"id": "L", "kind": "source", "outputs": {"out": "P0"}},
+        {"id": "P0", "kind": "polarizer", "params": {"axis": 30.0}, "outputs": {"out": "D"}},
+        {"id": "D", "kind": "detector"},
+        {"id": "P0.absorbed", "kind": "detector"}]}
+    config, out = tmp_path / "net.json", tmp_path / "result.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "custom", "--param", f"config={config}", "--out", str(out)]) == 0
+    analytic = json.loads(out.read_text())["analytic"]
+    assert analytic == {"D": pytest.approx(0.25), "P0.absorbed": pytest.approx(0.75)}
 
 
 def test_list_prints_every_dynamics_parameter_from_the_table(capsys, monkeypatch):

@@ -204,7 +204,7 @@ def _reference_validate(network: OpticalNetwork) -> ValidationReport:
         raise OverflowError("echo out of range")
     echoes = dict(zip(plan.ids, echo.tolist()))
     for elem in network.elements:
-        if elem.kind in TERMINAL_KINDS and elem.id not in plan.reached:
+        if elem.kind in TERMINAL_KINDS and elem.id not in plan.reached and elem.id not in plan.ids:
             add("unreachable absorber", elem.id, elem.id)
     echo_sum = math.fsum(echoes.values())
     if not abs(echo_sum - 1.0) <= ECHO_SUM_TOL:
@@ -313,7 +313,8 @@ def fan_outs(draw):
     at two ports, a few unfed and one behind an unfed mirror, and often one
     fed twice at one port (an input collision).  Sometimes a polarizer's
     absorbed port names a terminal fed at two ports, so three amplitudes
-    sum in one absorber.  Sometimes a splitter on the fan-out feeds a bare
+    sum in one absorber, or one that no edge feeds, reached through that
+    absorber alone.  Sometimes a splitter on the fan-out feeds a bare
     terminal whose id sorts first and a mirror that feeds the splitter
     back: a cycle upstream of that terminal, whose two elements' ids sort
     either way."""
@@ -334,7 +335,9 @@ def fan_outs(draw):
                                                                        min_size=k, max_size=k)))]
     elements.append(Element("M", "mirror", outputs={"out": ids[behind]}))
     if draw(st.booleans()):
-        outputs.update({"a": "P", "pa": "P.absorbed:a", "pb": "P.absorbed:b"})
+        outputs["a"] = "P"
+        if draw(st.booleans()):
+            outputs.update({"pa": "P.absorbed:a", "pb": "P.absorbed:b"})
         elements += [Element("P", "polarizer", {"axis": draw(st.floats(0.0, 360.0))}, {"out": ids[draw(pick)]}),
                      Element("P.absorbed", "detector")]
     if draw(st.booleans()):

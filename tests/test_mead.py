@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hqs import mead
 from hqs.rng import uniform_block
-from race_reference import completion_time, initial_transfers, race
+from race_reference import completion_time, initial_transfers, pair, race
 from scalar_reference import seed_for_word
 
 # CODATA electron volt-hertz relationship nu = e/h; the module derives
@@ -85,6 +85,14 @@ def test_trajectory_matches_the_logistic_closed_form():
     assert x_a[-1] > 0.999
 
 
+def test_a_complete_transfer_reads_exactly_one_even_where_underflow_raises():
+    # E = (1 - x0) e**(-k t) underflows past k t ~ 745; the emitter is then exactly empty
+    with np.errstate(all="raise"):
+        states = mead.integrate_pair(mead.AvalancheConfig(k=1.0, x0=0.01, t_end=800.0, dt=0.02))
+    assert (states[-1].x_emitter, states[-1].x_absorber) == (0.0, 1.0)
+    assert all(0.0 <= s.x_emitter <= 1.0 and 0.0 < s.x_absorber <= 1.0 for s in states)
+
+
 def test_a_pair_state_is_an_immutable_record():
     state = mead.AtomPairState(0.5, 0.25, 0.75)
     assert state == mead.AtomPairState(t=0.5, x_emitter=0.25, x_absorber=0.75)
@@ -145,6 +153,14 @@ def test_step_size_guard():
         mead.AvalancheConfig(k=1.0, x0=0.7, t_end=1.0, dt=0.001)
 
 
+def test_a_trajectory_holds_at_most_a_million_steps():
+    # construction only: no trajectory of this length is sampled
+    at_cap = mead.AvalancheConfig(k=1.0, x0=0.01, t_end=1000.0, dt=0.001)
+    assert round(at_cap.t_end / at_cap.dt) == 10**6
+    with pytest.raises(ValueError, match=r"t_end / dt = 1000001 steps is over the cap of 1000000"):
+        mead.AvalancheConfig(k=1.0, x0=0.01, t_end=1000.001, dt=0.001)
+
+
 def test_equal_couplings_split_the_wins_evenly():
     trials = 10_000
     result = mead.compete([1.0, 1.0], x0_max=0.01, trials=trials, seed=2)
@@ -191,9 +207,9 @@ COMPETE_GOLDENS = {
 
 PAIR_GOLDENS = {
     "default": (mead.AvalancheConfig(),
-                "291da86577da0b575879e751e40f98a65966f67a3e636436792fc38342f5d4a3"),
+                "4288f8ed7c2d464c7f47e41541a013354f4b6ee3076c929414b63aef13417eff"),
     "omega": (mead.AvalancheConfig(k=2.0, x0=0.02, t_end=6.0, dt=0.005, omega=30.0),
-              "ee1a7bae5019fb88b2966562393214fc4680f38eadee2d0a46a5f8b89aee8feb"),
+              "e658d6cf4fe6136602cc0c37e0a4ea82b08de1e54dec5a35d167f9dd95a4e8eb"),
 }
 
 
@@ -211,6 +227,29 @@ def test_integrate_pair_trajectory_is_pinned(config, digest):
     states = mead.integrate_pair(config)
     text = "\n".join(f"{s.t.hex()} {s.x_emitter.hex()} {s.x_absorber.hex()}" for s in states)
     assert _sha256(text) == digest
+
+
+# race_reference.pair integrates the pair's ODE by DOP853 at rtol 1e-12; it read at most
+# 9.0e-12 from the closed form over 300 random (k in [0.5, 4], x0 in [1e-3, 0.45], k t_end
+# in [1, 40]) and 4.3e-12 on PAIR_GOLDENS.  An error of 1e-6 in k t moves x_absorber by
+# x (1 - x) k t 1e-6, over 2e-9 once k t passes 1.
+PAIR_ODE_TOL = 1e-10
+
+
+def _ode_gap(config) -> float:
+    got = np.array([(s.x_emitter, s.x_absorber) for s in mead.integrate_pair(config)]).T
+    return float(np.max(np.abs(got - pair(config.k, config.x0, config.t_end, config.dt))))
+
+
+@pytest.mark.parametrize("config", [config for config, _ in PAIR_GOLDENS.values()], ids=PAIR_GOLDENS)
+def test_the_pinned_pairs_match_the_integrated_ode(config):
+    assert _ode_gap(config) <= PAIR_ODE_TOL
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.floats(0.5, 4.0), x0=st.floats(1e-3, 0.45), span=st.floats(1.0, 40.0))
+def test_the_closed_form_pair_matches_the_integrated_ode(k, x0, span):
+    assert _ode_gap(mead.AvalancheConfig(k=k, x0=x0, t_end=span / k)) <= PAIR_ODE_TOL
 
 
 @settings(max_examples=8, deadline=None)

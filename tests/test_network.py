@@ -594,7 +594,9 @@ def test_input_collisions_are_reported_in_linear_time():
 
 
 def test_detectors_on_absorbed_ports_compile_in_linear_time():
-    echoes = validate(_absorbed_port_detectors(3)).echoes  # each detector shares its polarizer's absorber
+    report = validate(_absorbed_port_detectors(3))
+    assert report.ok  # no edge feeds the detectors on absorbed ports, yet their absorbers are reached
+    echoes = report.echoes  # each detector shares its polarizer's absorber
     assert list(echoes) == ["D", "P0.absorbed", "P1.absorbed", "P2.absorbed"]
     assert echoes["P0.absorbed"] == pytest.approx(0.75)  # the vertical emission off a 30-degree axis
     assert _growth(_absorbed_port_detectors) <= 20
