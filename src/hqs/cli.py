@@ -37,6 +37,7 @@ from .network import Element, OpticalNetwork, calibrated, network_echo_table, sa
 from .wavecore import PolarizedAmplitude
 
 SIGMA_FACTOR = 4.0
+_MAX_SCAN_COUNT = 10**4  # the most runs that one scan may make
 
 
 class ConfigError(ValueError):
@@ -318,27 +319,6 @@ def build_envelope(spec: RunSpec, result: RunResult) -> dict:
     return envelope
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    # json's key rules, in json's order
-    if isinstance(key, str):
-        return _quote(key)
-    if isinstance(key, float):
-        return f'"{_float_text(key)}"'
-    if key is True or key is False or key is None:
-        return {True: '"true"', False: '"false"', None: '"null"'}[key]
-    if isinstance(key, int):
-        return f'"{int.__repr__(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 class _FloatTexts(dict):
     """float -> JSON text; _dumps seeds ±inf.  Zeros are never stored: 0.0 and -0.0 hash alike, print apart."""
 
@@ -352,9 +332,9 @@ class _FloatTexts(dict):
 
 
 def _columns(rows) -> dict | None:
-    """A list of dicts sharing one set of str keys, as its columns by sorted key; else None."""
+    """A list of dicts sharing one nonempty key set, as its columns by sorted key; else None."""
     first = rows[0]
-    if type(first) is dict and set(map(type, first)) == {str} and set(map(type, rows)) == {dict}:
+    if type(first) is dict and first and set(map(type, rows)) == {dict}:
         try:  # rows of first's size holding all its keys hold only its keys
             return {k: [r[k] for r in rows] for k in sorted(first)} if set(map(len, rows)) == {len(first)} else None
         except KeyError:
@@ -375,13 +355,14 @@ def _weave(first: str, heads, cols, n: int, last: str) -> str:
 def _dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), character for character.
 
-    Exact types are dispatched first; anything else falls back to json's
-    isinstance order, so float and str subclasses (np.float64 among them)
-    encode as json encodes them, and unsupported types raise TypeError.
-    Envelopes are tables, so they are written by column with one str.join
-    per container: a dict with str keys sorts them once, a list of dicts
-    sharing one str key set sorts and quotes its keys once, and a column of
-    one exact type is one map.  Nonzero float texts are memoised per call.
+    The column path writes the exact JSON types the program builds (float,
+    str, int, None, True, False, list, and dict with str keys).  Any other
+    value or key type raises TypeError there, and json.dumps takes the whole
+    object instead: it encodes subclasses (np.float64 among them) and
+    non-str keys, or raises TypeError itself.  The column path writes one
+    str.join per container: a dict sorts its keys once, a list of dicts
+    sharing one key set sorts and quotes its keys once, and a column of one
+    exact type is one map.  Nonzero float texts are memoised per call.
     """
     floats = _FloatTexts({math.inf: "Infinity", -math.inf: "-Infinity"})
     writers = {float: floats.__getitem__, str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__}
@@ -407,18 +388,7 @@ def _dumps(obj) -> str:
         if o is False:
             return "false"
         if t is not dict and t is not list:
-            if isinstance(o, str):
-                return _quote(o)
-            if isinstance(o, int):
-                return int.__repr__(o)
-            if isinstance(o, float):
-                return _float_text(o)
-            if isinstance(o, (list, tuple)):
-                t = list
-            elif isinstance(o, dict):
-                t = dict
-            else:
-                raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+            raise TypeError(t)
         if not o:
             return "[]" if t is list else "{}"
         inner = pad + "  "
@@ -432,11 +402,13 @@ def _dumps(obj) -> str:
             return _weave("[" + inner + "{" + cell + names[0], heads, [column(c, cell) for c in cols.values()],
                           len(o), inner + "}" + pad + "]")
         keys = sorted(o)  # keys are distinct, so json's sort of the items is this sort
-        quoted = map(_quote if set(map(type, keys)) == {str} else _key_text, keys)
-        return _weave("{" + inner, ("," + inner, ": "), (quoted, column(list(map(o.__getitem__, keys)), inner)),
-                      len(keys), pad + "}")
+        values = column(list(map(o.__getitem__, keys)), inner)
+        return _weave("{" + inner, ("," + inner, ": "), (map(_quote, keys), values), len(keys), pad + "}")
 
-    return text(obj, "\n")
+    try:
+        return text(obj, "\n")
+    except TypeError:
+        return json.dumps(obj, sort_keys=True, indent=2)
 
 
 def emit_results(envelope: dict, output_format: str = "json") -> bytes:
@@ -449,24 +421,16 @@ def emit_results(envelope: dict, output_format: str = "json") -> bytes:
     JSON is written by _dumps, not json.dumps: before Python 3.13,
     json.dumps with indent runs its pure-Python encoder, which took as long
     as the run itself on envelopes of thousands of absorbers.  _dumps
-    writes the same bytes by column, in an eighth to a half of its time.
+    writes the same bytes by column, in an eighth to a half of its time,
+    for the program's exact JSON types, and hands json.dumps the rest.
     """
     if output_format == "json":
         return (_dumps(envelope) + "\n").encode()
     if output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["outcome", "analytic", "count", "freq", "sigma_bound", "pass"])
+        header = ["outcome", "analytic", "count", "freq", "sigma_bound", "pass"]
         if envelope.get("entries"):
-            for e in envelope["entries"]:
-                writer.writerow(
-                    [e["outcome"], repr(e["analytic"]), e["count"], repr(e["freq"]),
-                     repr(e["sigma_bound"]), e["pass"]]
-                )
-        else:
-            for outcome, p in envelope["analytic"].items():
-                writer.writerow([outcome, repr(p), "", "", "", ""])
-        return buf.getvalue().encode()
+            return _csv(header, [[e[k] for k in header] for e in envelope["entries"]])
+        return _csv(header, [[o, p, None, None, None, None] for o, p in envelope["analytic"].items()])
     raise ConfigError(f"unknown output format {output_format!r}")
 
 
@@ -555,6 +519,8 @@ def _parse_range(raw: str):
         raise ConfigError(f"bad range {raw!r}: {exc}") from None
     if count < 2:
         raise ConfigError("range count must be >= 2")
+    if count > _MAX_SCAN_COUNT:
+        raise ConfigError(f"range count {count} is over the cap of {_MAX_SCAN_COUNT}")
     step = (stop - start) / (count - 1)
     return [start + i * step for i in range(count)]
 
@@ -584,14 +550,18 @@ def _cmd_scan(args) -> int:
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
 
     header = list(rows[0])
+    _write_output(_csv(header, [[row.get(col) for col in header] for row in rows]), args.out)
+    print(f"scan {args.experiment} over {key}: wall_time_ms={elapsed_ms:.1f}", file=sys.stderr)
+    return 0
+
+
+def _csv(header, rows) -> bytes:
+    """header, then rows, as CSV with LF line ends; _csv_cell writes each cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in header])
-    _write_output(buf.getvalue().encode(), args.out)
-    print(f"scan {args.experiment} over {key}: wall_time_ms={elapsed_ms:.1f}", file=sys.stderr)
-    return 0
+    writer.writerows(map(_csv_cell, row) for row in rows)
+    return buf.getvalue().encode()
 
 
 def _csv_cell(value):
@@ -613,7 +583,7 @@ def _dynamics_compete(p, args) -> int:
     seed = 0 if args.seed is None else args.seed
     result = mead.compete(p["k_list"], p["x0_max"], p["trials"], seed)
     payload = dict({key: result[key] for key in ("k_list", "trials", "win_counts", "win_fractions")}, seed=seed)
-    _write_output((_dumps(payload) + "\n").encode(), args.out)
+    _write_output(emit_results(payload), args.out)
     return 0
 
 
@@ -644,7 +614,7 @@ DYNAMICS = {
         {
             "k_list": Param(float, (1.0, 1.0), "coupling rate of each absorber", shape=(None,)),
             "x0_max": Param(float, 0.01, "largest initial transfer"),
-            "trials": Param(int, 1000, "races run"),
+            "trials": Param(int, 1000, "races run; trials times the absorber count at most 10**6"),
         },
         _dynamics_compete,
     ),
@@ -656,8 +626,8 @@ DYNAMICS = {
             "x_absorber": Param(float, 0.5, "absorber excitation"),
             "omega": Param(float, 1.0e9, "dipole angular frequency"),
             "t": Param(float, 0.0, "snapshot time"),
-            "nx": Param(int, 81, "grid points along x"),
-            "ny": Param(int, 81, "grid points along y"),
+            "nx": Param(int, 81, "grid points along x; nx * ny at most 10**6"),
+            "ny": Param(int, 81, "grid points along y; nx * ny at most 10**6"),
             "extent": Param(float, 10.0, "grid half-width (m)"),
             "positions": Param(float, ((-2.0, 0.0), (2.0, 0.0)), "emitter and absorber (x, y) in m",
                                shape=(2, 2)),
@@ -707,7 +677,8 @@ def main(argv=None) -> int:
 
     p_scan = sub.add_parser("scan", help="sweep one parameter over start:stop:count")
     p_scan.add_argument("experiment")
-    p_scan.add_argument("--param", action="append", metavar="KEY=VALUE|KEY=A:B:N")
+    p_scan.add_argument("--param", action="append", metavar="KEY=VALUE|KEY=A:B:N",
+                        help="one parameter swept from A to B over N points, N at most 10**4")
     p_scan.add_argument("--events", type=int, default=None)
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--out", default=None)

@@ -59,6 +59,8 @@ def dipole_amplitude(x: float) -> float:
 AtomPairState = namedtuple("AtomPairState", "t x_emitter x_absorber")
 
 _MAX_STEPS = 10**6  # the most samples past t = 0 that one trajectory may hold
+_MAX_DRAWS = 10**6  # the most initial transfers, absorbers times trials, that one race may draw
+_MAX_GRID_POINTS = 10**6  # the most points, nx times ny, that one field grid may hold
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,8 @@ def compete(k_list, x0_max: float, trials: int, seed: int) -> dict:
     exp(k_i tau*) = 0.99, at t* = integral over [0, tau*] of dtau / (1 - S).
     An exact tie goes to the lowest index and is flagged in the trial log; an
     absorber with x0 = 0 (a uniform of exactly 1.0) cannot win, and a trial
-    that starts at 0.99 or more completes at t = 0.
+    that starts at 0.99 or more completes at t = 0.  A race draws at most
+    10**6 transfers, absorbers times trials.
     """
     k = np.asarray(list(k_list), dtype=float)
     if k.ndim != 1 or len(k) < 2:
@@ -192,6 +195,9 @@ def compete(k_list, x0_max: float, trials: int, seed: int) -> dict:
         raise ValueError("x0_max must lie in (0, 0.5)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if len(k) * trials > _MAX_DRAWS:
+        draws = f"{len(k)} absorbers x {trials} trials = {len(k) * trials} draws"
+        raise ValueError(f"{draws} is over the cap of {_MAX_DRAWS}")
 
     # absorber-major: row j holds absorber j of every trial; the top 1024 words give u = 1.0
     events = np.arange(trials, dtype=np.uint64)
@@ -234,7 +240,7 @@ def compete(k_list, x0_max: float, trials: int, seed: int) -> dict:
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Square sampling grid: nx x ny points over [-extent, extent]^2."""
+    """Square sampling grid: nx x ny points over [-extent, extent]^2, at most 10**6 of them."""
 
     nx: int
     ny: int
@@ -243,6 +249,8 @@ class FieldGrid:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        if self.nx * self.ny > _MAX_GRID_POINTS:
+            raise ValueError(f"nx x ny = {self.nx * self.ny} grid points is over the cap of {_MAX_GRID_POINTS}")
         if self.extent <= 0:
             raise ValueError("extent must be positive")
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hqs.cli import (
     ConfigError,
     RunSpec,
+    _parse_range,
     build_envelope,
     emit_results,
     main,
@@ -210,6 +211,27 @@ def test_main_scan_writes_one_row_per_grid_point(tmp_path):
         assert abs(measured - math.sin(math.radians(delta)) ** 2) < 0.05
     assert main(["scan", "epr", "--events", "10"]) == 2  # no range given
     assert main(["scan", "epr", "--param", "delta=0:90:1"]) == 2  # count < 2
+
+
+def test_a_scan_range_holds_at_most_ten_thousand_points():
+    assert len(_parse_range("0:1:10000")) == 10**4
+    with pytest.raises(ConfigError, match="range count 10001 is over the cap of 10000"):
+        _parse_range("0:1:10001")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["dynamics", "field", "--param", "nx=100000", "--param", "ny=100000"],
+      "nx x ny = 10000000000 grid points is over the cap of 1000000"),
+     (["scan", "two_slit", "--param", "d=18:22:1000000000"], "range count 1000000000 is over the cap of 10000"),
+     (["dynamics", "compete", "--param", "trials=1000000000"],
+      "2 absorbers x 1000000000 trials = 2000000000 draws is over the cap of 1000000")],
+    ids=["field", "scan", "compete"],
+)
+def test_work_over_a_cap_is_a_config_error_naming_the_cap(capsys, argv, message):
+    # each is refused before anything of its size is allocated
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_main_custom_network_run(tmp_path):

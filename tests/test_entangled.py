@@ -1,13 +1,22 @@
-"""Entangled-pair correlations and the CHSH sum."""
+"""Entangled-pair correlations, the CHSH sum, and the constraints that keep
+that nonlocality from signalling: no-signalling, Tsirelson's bound and
+Freedman's inequality."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqs.experiments import EXPERIMENTS, chsh, chsh_analytic, epr_table
 from hqs.experiments.entangled import CHSH_ANGLES, correlation
-from hqs.network import sample_counts
+from hqs.network import EchoTable, sample_counts
+from hqs.wavecore import sin_deg
+
+# one turn of an analyzer: past 360, cos_deg converts the unreduced angle to
+# radians, and the marginals then move by up to ~2e-15
+angles = st.floats(0.0, 360.0, exclude_max=True)
 
 
 def p_different(theta_l: float, theta_r: float) -> float:
@@ -116,3 +125,58 @@ def test_epr_counts_reproducible():
     a = EXPERIMENTS["epr"].run(params, 5_000, 3).counts
     b = EXPERIMENTS["epr"].run(params, 5_000, 3).counts
     assert a == b
+
+
+def marginals(table) -> tuple:
+    """Alice's P(H), P(V), then Bob's, of a joint table."""
+    t = table.entries
+    return t["HH"] + t["HV"], t["VH"] + t["VV"], t["HH"] + t["VH"], t["HV"] + t["VV"]
+
+
+def assert_no_signalling(table, theta, other, other2):
+    """Neither side's marginal moves by more than 1e-15 when the far analyzer
+    turns from other to other2, the near one held at theta."""
+    alice = [marginals(table(theta, r))[:2] for r in (other, other2)]
+    bob = [marginals(table(l, theta))[2:] for l in (other, other2)]
+    for before, after in (alice, bob):
+        assert max(abs(x - y) for x, y in zip(before, after)) <= 1e-15, (before, after)
+
+
+@given(angles, angles, angles)
+@settings(max_examples=100, deadline=None)
+def test_neither_marginal_depends_on_the_far_analyzer(theta, other, other2):
+    # Popescu & Rohrlich, Found. Phys. 24, 379 (1994)
+    assert_no_signalling(epr_table, theta, other, other2)
+
+
+def leaky_table(theta_l: float, theta_r: float) -> EchoTable:
+    """epr_table with 1e-3 sin^2(theta_r) moved from VH to HH: Alice's marginal reads Bob's analyzer."""
+    t = dict(epr_table(theta_l, theta_r).entries)
+    leak = 1e-3 * sin_deg(theta_r) ** 2
+    t["HH"], t["VH"] = t["HH"] + leak, t["VH"] - leak
+    return EchoTable(t)
+
+
+def test_a_table_that_signals_fails_the_no_signalling_check():
+    with pytest.raises(AssertionError):
+        assert_no_signalling(leaky_table, 10.0, 0.0, 90.0)
+
+
+@given(angles, angles, angles, angles)
+@settings(max_examples=100, deadline=None)
+def test_no_analyzer_quadruple_passes_tsirelsons_bound(a, ap, b, bp):
+    # Cirel'son, Lett. Math. Phys. 4, 93 (1980)
+    assert abs(chsh_analytic((a, ap, b, bp))) <= 2.0 * math.sqrt(2.0) + 1e-12
+
+
+def test_freedmans_inequality_is_violated_by_a_quarter_of_root_two_less_one():
+    # Freedman & Clauser, PRL 28, 938 (1972): local hidden variables keep
+    # delta = |P_HH(22.5) - P_HH(67.5)| - 1/4 at or below 0
+    settings_deg = (22.5, 67.5)
+    p = [epr_table(theta, 0.0).entries["HH"] for theta in settings_deg]
+    assert abs(p[0] - p[1]) - 0.25 == pytest.approx((math.sqrt(2.0) - 1.0) / 4.0, abs=1e-12)
+    n = 10**6
+    # each setting on its own event range, as chsh keys them
+    hat = [sample_counts(epr_table(theta, 0.0), n, 0, s * n)["HH"] / n for s, theta in enumerate(settings_deg)]
+    sigma = math.sqrt(sum(q * (1.0 - q) / n for q in hat))
+    assert abs(hat[0] - hat[1]) - 0.25 > 4.0 * sigma

@@ -77,6 +77,19 @@ def test_every_output_matches_the_manifest(monkeypatch):
         [f"moved: {k}" for k in moved] + [f"not run: {k}" for k in missing] + [f"not pinned: {k}" for k in extra])
 
 
+
+def test_every_output_takes_the_column_path(monkeypatch):
+    """No output reaches json.dumps, _dumps's fallback for other types: a fault
+    that sent the program's own types there would keep the bytes but be slow."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps was called")
+
+    monkeypatch.chdir(ROOT)
+    want = json.loads(MANIFEST.read_text())
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert digests() == want
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_manifest.py --write")

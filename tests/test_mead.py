@@ -381,6 +381,24 @@ def test_competition_input_validation():
         mead.compete([1.0, 1.0], 0.01, 0, seed=0)
 
 
+def test_a_race_draws_at_most_a_million_transfers(monkeypatch):
+    # refused before any draw: 101 x 9901 = 10**6 + 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew transfers past the cap")
+
+    monkeypatch.setattr(mead, "uniform_block", refuse)
+    with pytest.raises(ValueError, match=r"101 absorbers x 9901 trials = 1000001 draws is over the cap of 1000000"):
+        mead.compete([1.0] * 101, 0.01, 9901, seed=0)
+
+
+def test_a_field_grid_holds_at_most_a_million_points():
+    # construction only: no field of this size is computed
+    mead.FieldGrid(1000, 1000, 1.0)
+    mead.FieldGrid(2, 500_000, 1.0)
+    with pytest.raises(ValueError, match=r"nx x ny = 1000001 grid points is over the cap of 1000000"):
+        mead.FieldGrid(101, 9901, 1.0)
+
+
 def test_field_snapshot_symmetry_and_falloff():
     grid = mead.FieldGrid(nx=81, ny=81, extent=10.0)
     state = mead.AtomPairState(t=0.0, x_emitter=0.5, x_absorber=0.5)
